@@ -308,81 +308,6 @@ impl Machine {
         Ok(ticket)
     }
 
-    /// Starts loading an FG data path *speculatively* (a prefetch for a
-    /// predicted-next block, DESIGN.md §12). Same transport model as
-    /// [`Machine::load_fg`] with one deliberate difference: **no fault is
-    /// drawn** from the injected-fault model. Fault draws happen per
-    /// *demand* attempt, so a run whose speculations are all rolled back
-    /// consumes the exact same fault-model stream as a trigger-time run
-    /// (the byte-identity guarantee under misprediction); a promoted
-    /// speculation replaces a demand attempt — and its draw — with an
-    /// already-CRC-checked bitstream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InsufficientResources`] if no PRC is free —
-    /// speculation never evicts committed residency to make room.
-    pub fn load_fg_speculative(
-        &mut self,
-        now: Cycles,
-        id: LoadedId,
-        bitstream_bytes: u64,
-    ) -> Result<LoadTicket, ArchError> {
-        if self.fg.free_count() == 0 {
-            return Err(ArchError::InsufficientResources {
-                requested: Resources::prc_only(1),
-                available: self.free_resources(),
-            });
-        }
-        let duration = self.params.fg_reconfig_time(bitstream_bytes);
-        let ticket = self.controller.request(
-            now,
-            LoadRequest {
-                id,
-                fabric: FabricKind::FineGrained,
-                duration,
-            },
-        );
-        self.fg
-            .begin_load(id, ticket.ready_at)
-            .expect("free PRC checked above");
-        Ok(ticket)
-    }
-
-    /// Rolls back a speculative load: removes its port ticket (even
-    /// mid-stream — sound because nothing committed queues behind a
-    /// speculative transfer) and frees the slot reserved for it, whether
-    /// the artefact was still streaming or already resident. Returns
-    /// whether anything was actually released.
-    pub fn abort_speculative(&mut self, id: LoadedId) -> bool {
-        let ticketed = self.controller.abort_load(id).is_some();
-        self.evict(id).is_ok() || ticketed
-    }
-
-    /// Re-installs a *fully transferred* speculative FG bitstream as
-    /// instantly resident, without touching the configuration port. Used
-    /// by the promotion path: the completed speculation was evicted before
-    /// planning (so the planner sees exact trigger-time state), and if the
-    /// resulting plan demand-loads the same unit, the already-streamed
-    /// configuration is adopted in place of the transfer — zero port
-    /// occupancy, usable at `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InsufficientResources`] if no PRC is free
-    /// (cannot happen when the caller promotes into a slot the plan
-    /// reserved for the demand load this adoption replaces).
-    pub fn promote_speculative(&mut self, now: Cycles, id: LoadedId) -> Result<(), ArchError> {
-        if self.fg.free_count() == 0 {
-            return Err(ArchError::InsufficientResources {
-                requested: Resources::prc_only(1),
-                available: self.free_resources(),
-            });
-        }
-        self.fg.begin_load(id, now).expect("free PRC checked above");
-        Ok(())
-    }
-
     /// Whether artefact `id` is resident and usable anywhere at `now`.
     #[must_use]
     pub fn is_resident(&self, id: LoadedId, now: Cycles) -> bool {
@@ -485,40 +410,6 @@ mod tests {
         m.load_cg(Cycles::ZERO, 1, 32).unwrap();
         m.load_fg(Cycles::ZERO, 2, 81_100).unwrap();
         assert_eq!(m.free_resources(), Resources::new(1, 2));
-    }
-
-    #[test]
-    fn speculative_load_draws_no_fault_and_aborts_cleanly() {
-        let mut m = machine(1, 1);
-        m.set_fault_model(FaultModel::new(1.0, 42));
-        // A speculative load never consumes a fault draw...
-        let t = m.load_fg_speculative(Cycles::ZERO, 9, 81_100).unwrap();
-        assert!(m.is_resident(9, t.ready_at));
-        assert_eq!(m.free_resources().prc(), 0);
-        // ...so the fault stream the next *demand* attempt sees is exactly
-        // what a prefetch-free run would have seen.
-        assert!(m.abort_speculative(9));
-        assert_eq!(m.free_resources().prc(), 1);
-        assert_eq!(
-            m.controller().port_free_at(FabricKind::FineGrained),
-            Cycles::ZERO
-        );
-        assert!(matches!(
-            m.load_fg(Cycles::ZERO, 9, 81_100),
-            Err(ArchError::LoadFault(_))
-        ));
-        // Aborting an unknown artefact is a no-op.
-        assert!(!m.abort_speculative(77));
-    }
-
-    #[test]
-    fn speculative_load_never_displaces_residency() {
-        let mut m = machine(1, 1);
-        m.load_fg(Cycles::ZERO, 1, 81_100).unwrap();
-        assert!(matches!(
-            m.load_fg_speculative(Cycles::ZERO, 2, 81_100),
-            Err(ArchError::InsufficientResources { .. })
-        ));
     }
 
     #[test]

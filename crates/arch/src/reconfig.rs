@@ -162,29 +162,6 @@ impl Port {
         self.inflight = kept;
         cancelled
     }
-
-    /// Removes the ticket of artefact `id` wherever it sits in the queue —
-    /// even mid-stream. A partially streamed speculative bitstream can be
-    /// abandoned safely *because nothing committed ever queues behind it*:
-    /// speculative requests are only admitted to an idle port, so every
-    /// ticket after an aborted one is itself speculative (and aborted with
-    /// it or promoted before any demand request arrives). Later tickets
-    /// keep their original schedule — the abort opens a hole rather than
-    /// compacting it, which keeps completion times monotone and the
-    /// rollback deterministic.
-    fn abort(&mut self, id: LoadedId) -> Option<LoadTicket> {
-        let pos = self.inflight.iter().position(|t| t.id == id)?;
-        let removed = self.inflight.remove(pos)?;
-        // With the queue empty the port was last genuinely busy just
-        // before the removed transfer began; `admit` takes
-        // `max(now, busy_until)`, so rolling back to its start time is
-        // exact for every later request.
-        self.busy_until = self
-            .inflight
-            .back()
-            .map_or(removed.starts_at, |t| t.ready_at);
-        Some(removed)
-    }
 }
 
 /// Analytic model of the two configuration ports.
@@ -279,17 +256,6 @@ impl ReconfigurationController {
         let mut v = self.fg.cancel_pending(now);
         v.extend(self.cg.cancel_pending(now));
         v
-    }
-
-    /// Aborts the in-flight (queued **or streaming**) transfer of artefact
-    /// `id`, returning its ticket if one was tracked. This is the rollback
-    /// path of *speculative* loads (DESIGN.md §12): unlike
-    /// [`Self::cancel_pending`] it may abandon a transfer mid-stream,
-    /// which is only sound because speculative requests are admitted to an
-    /// idle port exclusively — no committed request is ever scheduled
-    /// behind one, so removing it never invalidates another ticket.
-    pub fn abort_load(&mut self, id: LoadedId) -> Option<LoadTicket> {
-        self.fg.abort(id).or_else(|| self.cg.abort(id))
     }
 
     /// Number of transfers still queued or streaming on a port.
@@ -429,33 +395,6 @@ mod tests {
         // New request starts immediately.
         let t = rc.request(Cycles::new(10), fg_req(3, 5));
         assert_eq!(t.starts_at.get(), 10);
-    }
-
-    #[test]
-    fn abort_load_mid_stream_frees_the_port() {
-        let mut rc = ReconfigurationController::new();
-        let t = rc.request(Cycles::new(10), fg_req(7, 100)); // streams 10..110
-        assert_eq!(rc.abort_load(7), Some(t));
-        // The port rolls back to the aborted transfer's start time: a new
-        // request at t=50 is served immediately.
-        let n = rc.request(Cycles::new(50), fg_req(8, 5));
-        assert_eq!(n.starts_at.get(), 50);
-        assert_eq!(rc.inflight_count(FabricKind::FineGrained), 1);
-    }
-
-    #[test]
-    fn abort_load_keeps_later_speculative_schedule() {
-        let mut rc = ReconfigurationController::new();
-        let a = rc.request(Cycles::ZERO, fg_req(1, 100));
-        let b = rc.request(Cycles::ZERO, fg_req(2, 50));
-        assert_eq!(rc.abort_load(1), Some(a));
-        // The later ticket keeps its original (hole-preserving) schedule.
-        assert_eq!(rc.pending_ready_time(2), Some(b.ready_at));
-        assert_eq!(rc.port_free_at(FabricKind::FineGrained), b.ready_at);
-        // Aborting the last ticket rolls the port all the way back.
-        rc.abort_load(2);
-        assert_eq!(rc.port_free_at(FabricKind::FineGrained), b.starts_at);
-        assert_eq!(rc.abort_load(2), None);
     }
 
     #[test]

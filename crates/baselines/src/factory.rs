@@ -26,12 +26,6 @@ pub struct PolicyTuning {
     /// Callers validate the 0.0..=1.0 range at parse time; out-of-range
     /// values are clamped by the MPU anyway.
     pub mpu_alpha: Option<f64>,
-    /// Enables the speculative reconfiguration prefetcher (DESIGN.md §12).
-    pub prefetch: bool,
-    /// Overrides the prefetcher's minimum nomination confidence (`None`
-    /// keeps the [`mrts_core::PrefetchConfig`] default). Ignored unless
-    /// `prefetch` is set.
-    pub prefetch_confidence: Option<f64>,
 }
 
 impl PolicyTuning {
@@ -41,10 +35,6 @@ impl PolicyTuning {
         let mut config = MrtsConfig::default();
         if let Some(alpha) = self.mpu_alpha {
             config.mpu_alpha = alpha;
-        }
-        config.prefetch.enabled = self.prefetch;
-        if let Some(c) = self.prefetch_confidence {
-            config.prefetch.confidence_min = c;
         }
         config
     }
@@ -69,9 +59,9 @@ pub fn make_policy(
     make_policy_tuned(name, catalog, capacity, totals, PolicyTuning::default())
 }
 
-/// [`make_policy`] with explicit mRTS tuning knobs (MPU learning rate,
-/// speculative prefetch). `PolicyTuning::default()` builds the same
-/// instances as [`make_policy`].
+/// [`make_policy`] with explicit mRTS tuning knobs (the MPU learning
+/// rate). `PolicyTuning::default()` builds the same instances as
+/// [`make_policy`].
 ///
 /// # Errors
 ///

@@ -109,7 +109,6 @@ impl StaticSelection {
             selections,
             evict: Vec::new(), // the static assignment fits by construction
             load_order,
-            prefetch: Vec::new(),
             overhead: Cycles::ZERO, // decisions were made at compile time
         }
     }

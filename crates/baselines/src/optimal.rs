@@ -319,7 +319,6 @@ impl RuntimePolicy for OnlineOptimalPolicy {
             selections: selection.choices,
             evict,
             load_order,
-            prefetch: Vec::new(),
             overhead: Cycles::ZERO,
         }
     }

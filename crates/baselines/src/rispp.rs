@@ -113,7 +113,6 @@ impl RuntimePolicy for RisppPolicy {
             selections: selection.choices,
             evict,
             load_order: selection.load_order,
-            prefetch: Vec::new(),
             overhead: Cycles::new(selection.overhead_cycles.get() / kernels),
         }
     }

@@ -34,7 +34,7 @@ use std::time::Instant;
 use mrts_arch::{ArchParams, Cycles, ReconfigurationController, Resources};
 use mrts_bench::{fig8_combos, par, print_header, DomainTestbed, Testbed, DEFAULT_SEED};
 use mrts_core::selector::{select_ises, SelectorConfig};
-use mrts_core::{Mrts, MrtsConfig, PrefetchConfig};
+use mrts_core::Mrts;
 use mrts_fleet::{run_fleet, AppRegistry, FleetConfig, PoissonConfig};
 use mrts_ise::{BlockId, IseCatalog, TriggerBlock, TriggerInstruction, UnitId};
 use mrts_multitask::{run_multitask, MultitaskConfig, TenantSpec};
@@ -537,60 +537,7 @@ fn main() {
         threads: 1,
     });
 
-    // --- 5. Speculative prefetch: hit rate and end-to-end speedup -------
-    // Trigger-time mRTS vs the same run-time system with the speculative
-    // prefetcher armed, on a fabric with spare PRCs (speculation only
-    // takes slots the committed plan left free, so the paper-sized 2+2
-    // machine would never issue). Both numbers are deterministic,
-    // machine-independent tripwires: the hit rate pins the predictor +
-    // judgment pipeline, the speedup pins the never-slower guarantee
-    // (engine rolls back to exact trigger-time state on misprediction).
-    let pf_combo = Resources::new(2, 16);
-    let base_stats = {
-        let mut policy = Mrts::new();
-        let mut sim = Simulator::new(&tb.catalog, tb.machine(pf_combo));
-        sim.run_trace(&tb.trace, &mut policy)
-    };
-    let pf_cfg = MrtsConfig {
-        prefetch: PrefetchConfig {
-            enabled: true,
-            confidence_min: 0.5,
-            ..PrefetchConfig::default()
-        },
-        ..MrtsConfig::default()
-    };
-    let mut pf_sim = Simulator::new(&tb.catalog, tb.machine(pf_combo));
-    let pf_stats = pf_sim.run_trace(&tb.trace, &mut Mrts::with_config(pf_cfg));
-    pf_sim.finish_events(); // close end-of-trace speculations as wasted
-    let pf = pf_sim.prefetch_stats();
-    let prefetch_speedup = base_stats.total_execution_time().get() as f64
-        / pf_stats.total_execution_time().get().max(1) as f64;
-    assert!(
-        prefetch_speedup >= 1.0,
-        "prefetch-on run slower than trigger-time ({prefetch_speedup:.4}x)"
-    );
-    println!(
-        "prefetch (2 CG + 16 PRC): {} issued, {} hits ({:.0}% hit rate), \
-         {} wasted -> {prefetch_speedup:.4}x vs trigger-time",
-        pf.issued,
-        pf.hits,
-        100.0 * pf.hit_rate(),
-        pf.wasted
-    );
-    entries.push(Entry {
-        name: "prefetch_hit_rate",
-        value: pf.hit_rate(),
-        unit: "ratio",
-        threads: 1,
-    });
-    entries.push(Entry {
-        name: "prefetch_speedup",
-        value: prefetch_speedup,
-        unit: "x",
-        threads: 1,
-    });
-
-    // --- 6. Ingestion pipeline: manifest -> application lowering --------
+    // --- 5. Ingestion pipeline: manifest -> application lowering --------
     // Full front-end cost for the largest builtin manifest (h264: 11
     // kernels, 13 functional blocks): validation, dead-op elimination,
     // clustering and application construction. Deterministic work, so the
@@ -617,7 +564,7 @@ fn main() {
         threads: 1,
     });
 
-    // --- 6b. Cross-domain simulator throughput --------------------------
+    // --- 5b. Cross-domain simulator throughput --------------------------
     // Whole-trace mRTS runs on the two ingested domains `fig_domains`
     // sweeps (cv, cryptomix), same 2 CG + 2 PRC machine and protocol as
     // the h264 `simulator_throughput` entry — catching a throughput

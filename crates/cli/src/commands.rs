@@ -13,8 +13,8 @@ use mrts_multitask::{
     MultitaskConfig, SchedulerKind, TenantSpec,
 };
 use mrts_sim::{
-    events_to_jsonl, ExecClass, MultitaskStats, PrefetchStats, RecoveryConfig, RiscOnlyPolicy,
-    RunStats, RuntimePolicy, Simulator, VecSink,
+    events_to_jsonl, ExecClass, MultitaskStats, RecoveryConfig, RiscOnlyPolicy, RunStats,
+    RuntimePolicy, Simulator, VecSink,
 };
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
@@ -51,9 +51,9 @@ fn policy(
     make_policy_tuned(name, catalog, capacity, totals, tuning)
 }
 
-/// Parses the shared mRTS tuning flags (`--mpu-alpha`, `--prefetch`,
-/// `--prefetch-confidence`), validating ranges at parse time so a typo
-/// fails fast instead of being silently clamped mid-run.
+/// Parses the shared mRTS tuning flag (`--mpu-alpha`), validating its
+/// range at parse time so a typo fails fast instead of being silently
+/// clamped mid-run.
 fn tuning_from_args(args: &Args) -> Result<PolicyTuning, Box<dyn std::error::Error>> {
     let mut tuning = PolicyTuning::default();
     if let Some(raw) = args.get("mpu-alpha") {
@@ -64,20 +64,6 @@ fn tuning_from_args(args: &Args) -> Result<PolicyTuning, Box<dyn std::error::Err
             return Err(format!("--mpu-alpha {alpha} must be within [0, 1]").into());
         }
         tuning.mpu_alpha = Some(alpha);
-    }
-    tuning.prefetch = match args.get_or("prefetch", "off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("unknown --prefetch '{other}' (on|off)").into()),
-    };
-    if let Some(raw) = args.get("prefetch-confidence") {
-        let c: f64 = raw
-            .parse()
-            .map_err(|_| format!("--prefetch-confidence: cannot parse '{raw}'"))?;
-        if !(0.0..=1.0).contains(&c) {
-            return Err(format!("--prefetch-confidence {c} must be within [0, 1]").into());
-        }
-        tuning.prefetch_confidence = Some(c);
     }
     Ok(tuning)
 }
@@ -154,7 +140,7 @@ fn simulate_once(
     recovery: RecoveryConfig,
     record: bool,
     tuning: PolicyTuning,
-) -> Result<(RunStats, Option<String>, PrefetchStats), Box<dyn std::error::Error>> {
+) -> Result<(RunStats, Option<String>), Box<dyn std::error::Error>> {
     let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
     let capacity = machine.capacity();
     let mut p = policy(policy_name, catalog, capacity, totals, tuning)?;
@@ -172,7 +158,7 @@ fn simulate_once(
         Some(s) => Some(events_to_jsonl(&s.take())?),
         None => None,
     };
-    Ok((stats, jsonl, sim.prefetch_stats()))
+    Ok((stats, jsonl))
 }
 
 /// `mrts-cli simulate` — one app, one machine, one policy.
@@ -189,8 +175,6 @@ pub fn simulate(args: &Args) -> CliResult {
         "events-out",
         "threads",
         "mpu-alpha",
-        "prefetch",
-        "prefetch-confidence",
     ])?;
     let (_, catalog, trace) = build(args)?;
     let combo = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
@@ -212,11 +196,11 @@ pub fn simulate(args: &Args) -> CliResult {
     }
     let record = events_out.is_some() || threads > 1;
 
-    let (stats, jsonl, prefetch) = if threads > 1 {
+    let (stats, jsonl) = if threads > 1 {
         // Replay the identical configuration on `threads` OS threads and
         // demand byte-identical statistics and event logs. The simulator
         // is deterministic by construction; this is the executable proof.
-        let runs: Vec<(RunStats, Option<String>, PrefetchStats)> = std::thread::scope(|scope| {
+        let runs: Vec<(RunStats, Option<String>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
@@ -242,11 +226,8 @@ pub fn simulate(args: &Args) -> CliResult {
         })
         .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
         let first_stats = serde_json::to_string(&runs[0].0)?;
-        for (i, (stats, jsonl, pf)) in runs.iter().enumerate().skip(1) {
-            if serde_json::to_string(stats)? != first_stats
-                || *jsonl != runs[0].1
-                || *pf != runs[0].2
-            {
+        for (i, (stats, jsonl)) in runs.iter().enumerate().skip(1) {
+            if serde_json::to_string(stats)? != first_stats || *jsonl != runs[0].1 {
                 return Err(
                     format!("determinism violation: thread {i} diverged from thread 0").into(),
                 );
@@ -298,15 +279,6 @@ pub fn simulate(args: &Args) -> CliResult {
         "speedup  : {:.2}x vs RISC-mode",
         stats.speedup_vs(&risc).max(0.0)
     );
-    if tuning.prefetch {
-        println!(
-            "prefetch : {} issued, {} hits ({:.0}% hit rate), {} wasted",
-            prefetch.issued,
-            prefetch.hits,
-            100.0 * prefetch.hit_rate(),
-            prefetch.wasted
-        );
-    }
     println!("executions by implementation:");
     let h = stats.class_histogram();
     for class in ExecClass::ALL {
@@ -405,8 +377,6 @@ pub fn multitask(args: &Args) -> CliResult {
         "events-out",
         "threads",
         "mpu-alpha",
-        "prefetch",
-        "prefetch-confidence",
     ])?;
     // The shared flag-triple parser (also the fleet's session-trace
     // syntax): apps comma list, optional parallel weights/slo lists.

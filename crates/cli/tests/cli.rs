@@ -159,6 +159,20 @@ fn multitask_event_logs_are_deterministic() {
 
 #[test]
 fn errors_exit_nonzero_with_message() {
+    // Hostile input files: an arrival at the end of time (whose dense
+    // utilization windows would need ~147 TB) and JSON nested far deeper
+    // than the parser's recursion limit.
+    let dir = std::env::temp_dir().join("mrts_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let late = dir.join("late_arrival.jsonl");
+    std::fs::write(
+        &late,
+        "{\"at\":18446744073709551615,\"app\":\"fft\",\"weight\":1,\"slo\":\"-\",\"variant\":0}\n",
+    )
+    .unwrap();
+    let deep = dir.join("deep_nesting.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let (late_s, deep_s) = (late.to_str().unwrap(), deep.to_str().unwrap());
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["simulate", "--policy", "bogus"], "unknown policy"),
         (vec!["simulate", "--app", "bogus"], "unknown app"),
@@ -167,14 +181,29 @@ fn errors_exit_nonzero_with_message() {
         (vec!["pif", "--kernel", "nope"], "unknown kernel"),
         (vec!["sweep", "--format", "xml"], "unknown format"),
         (vec!["catalog", "--typo", "1"], "unknown flag"),
+        (vec!["simulate", "--prefetch", "on"], "unknown flag"),
+        (
+            vec!["fleet", "--arrivals-in", late_s],
+            "arrival 0: at 18446744073709551615 is past the arrival horizon",
+        ),
+        (
+            vec!["ingest", "--check", deep_s],
+            "recursion limit exceeded",
+        ),
+        (
+            vec!["fleet", "--arrivals-in", deep_s],
+            "arrivals line 1: JSON parse error at byte 127: recursion limit exceeded",
+        ),
     ];
     for (args, needle) in cases {
         let out = run(&args);
-        assert!(!out.status.success(), "{args:?} should fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} should exit 1");
         assert!(
             stderr(&out).contains(needle),
             "{args:?}: stderr was {}",
             stderr(&out)
         );
     }
+    let _ = std::fs::remove_file(late);
+    let _ = std::fs::remove_file(deep);
 }

@@ -66,7 +66,7 @@ pub mod runtime;
 pub mod selector;
 
 pub use ecu::{EcuConfig, EcuDecision, EcuVerdict};
-pub use mpu::{FlowPredictor, Mpu};
+pub use mpu::Mpu;
 pub use profit::{expected_profit, ProfitBreakdown, StageProfit};
-pub use runtime::{Mrts, MrtsConfig, PrefetchConfig};
+pub use runtime::{Mrts, MrtsConfig};
 pub use selector::{select_ises, SelectedIse, Selection, SelectorConfig};

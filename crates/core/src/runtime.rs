@@ -3,7 +3,7 @@
 //! Unit, packaged as a [`RuntimePolicy`] for the simulator.
 
 use crate::ecu::{self, EcuConfig};
-use crate::mpu::{FlowPredictor, Mpu};
+use crate::mpu::Mpu;
 use crate::selector::SelectorConfig;
 use mrts_arch::{Cycles, FabricKind, Resources};
 use mrts_ise::{BlockId, IseId, KernelId, TriggerBlock, UnitId};
@@ -36,44 +36,6 @@ pub struct MrtsConfig {
     /// plan past its slice, even while the fabric is being re-partitioned
     /// underneath it.
     pub slice: Option<Resources>,
-    /// Speculative reconfiguration prefetch (see [`PrefetchConfig`]).
-    pub prefetch: PrefetchConfig,
-}
-
-/// Knobs of the speculative-prefetch planner. **Disabled by default**:
-/// with `enabled: false` the planner is never consulted, the control-flow
-/// predictor never learns, and every plan (and therefore every golden
-/// trace and results file) is byte-identical to the trigger-time-only
-/// run-time system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchConfig {
-    /// Master switch for speculative planning.
-    pub enabled: bool,
-    /// Minimum predictor confidence for a successor block to be
-    /// considered at all. Candidates below the threshold are never
-    /// nominated, no matter how much reconfiguration they would hide.
-    pub confidence_min: f64,
-    /// Cap on speculative units nominated per block — the planner's half
-    /// of the idle-bandwidth budget. (The engine enforces the other
-    /// half: speculative loads queue *behind* all of the block's demand
-    /// traffic at the FG configuration port, take only genuinely free
-    /// slots, never evict anything, and are fully rolled back before the
-    /// next block is planned unless promoted.)
-    pub max_units: usize,
-    /// Context order of the [`FlowPredictor`] (longest block-history
-    /// match used for prediction).
-    pub order: usize,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            enabled: false,
-            confidence_min: 0.55,
-            max_units: 2,
-            order: 2,
-        }
-    }
 }
 
 impl Default for MrtsConfig {
@@ -85,7 +47,6 @@ impl Default for MrtsConfig {
             ecu: EcuConfig::default(),
             hide_overhead: true,
             slice: None,
-            prefetch: PrefetchConfig::default(),
         }
     }
 }
@@ -198,25 +159,6 @@ pub struct Mrts {
     profit_bufs: crate::profit::ProfitEvalBuffers,
     /// Reusable MPU-corrected forecast for the current block.
     forecast_buf: mrts_ise::TriggerBlock,
-    /// Online control-flow predictor over the observed block sequence
-    /// (only consulted/trained when `config.prefetch.enabled`).
-    flow: FlowPredictor,
-    /// Compile-time forecast snapshots of every block seen so far, sorted
-    /// by block id. When the predictor nominates a successor, its
-    /// snapshot (MPU-corrected with *current* estimates) is what the
-    /// speculative selector plans against.
-    forecast_store: Vec<TriggerBlock>,
-    /// Scratch: the predictor's (block, confidence) output.
-    pred_buf: Vec<(BlockId, f64)>,
-    /// Scratch: MPU-corrected forecast of a predicted successor block.
-    spec_forecast_buf: TriggerBlock,
-    /// Scratch: speculative unit candidates, grouped per predicted block.
-    spec_units_buf: Vec<UnitId>,
-    /// Scratch: per-predicted-block ranking entries
-    /// `(confidence × saved cycles, block, range into spec_units_buf)`.
-    spec_rank_buf: Vec<(f64, BlockId, u32, u32)>,
-    /// Recycled `BlockPlan::prefetch` buffer.
-    prefetch_buf: Vec<UnitId>,
 }
 
 impl Mrts {
@@ -244,13 +186,6 @@ impl Mrts {
             sel_scratch: crate::selector::SelectorScratch::new(),
             profit_bufs: crate::profit::ProfitEvalBuffers::default(),
             forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
-            flow: FlowPredictor::new(config.prefetch.order),
-            forecast_store: Vec::new(),
-            pred_buf: Vec::new(),
-            spec_forecast_buf: mrts_ise::TriggerBlock::new(mrts_ise::BlockId(0), Vec::new()),
-            spec_units_buf: Vec::new(),
-            spec_rank_buf: Vec::new(),
-            prefetch_buf: Vec::new(),
         }
     }
 
@@ -270,149 +205,6 @@ impl Mrts {
     #[must_use]
     pub fn mpu(&self) -> &Mpu {
         &self.mpu
-    }
-
-    /// Read access to the control-flow predictor (tests and diagnostics).
-    /// Untrained — zero observations — unless prefetch is enabled.
-    #[must_use]
-    pub fn flow(&self) -> &FlowPredictor {
-        &self.flow
-    }
-
-    /// Trains the control-flow predictor on the block entry and snapshots
-    /// the block's compile-time forecast so a later *prediction* of this
-    /// block can be planned speculatively without waiting for its trigger
-    /// instructions. Called from every `plan_block` path (including the
-    /// zero-budget fast path: history gaps would corrupt the context
-    /// model) when prefetch is enabled.
-    fn note_block(&mut self, forecast: &TriggerBlock) {
-        self.flow.observe(forecast.block);
-        match self
-            .forecast_store
-            .binary_search_by_key(&forecast.block, |t| t.block)
-        {
-            Ok(i) => {
-                let slot = &mut self.forecast_store[i];
-                slot.triggers.clear();
-                slot.triggers.extend_from_slice(&forecast.triggers);
-            }
-            Err(i) => self.forecast_store.insert(i, forecast.clone()),
-        }
-    }
-
-    /// Fills `out` with up to `max_units` FG units for the predicted
-    /// successor blocks, most valuable first. Each candidate block is
-    /// planned exactly the way its own `plan_block` would plan it —
-    /// current MPU estimates, the same selector and profit model —
-    /// against the residual FG budget left after the committed demand
-    /// plan (`demand_loads`). A block's nomination score is
-    /// `confidence × Σ load_duration` of its still-missing FG units: the
-    /// reconfiguration time the prefetch is expected to hide.
-    fn plan_prefetch_into(
-        &mut self,
-        ctx: &SelectionContext<'_>,
-        now: Cycles,
-        residual_prc: u16,
-        demand_loads: &[UnitId],
-        out: &mut Vec<UnitId>,
-    ) {
-        let pcfg = self.config.prefetch;
-        let spec_budget = Resources::new(0, residual_prc);
-        let pred = std::mem::take(&mut self.pred_buf);
-        // Residency at `now` was frozen by plan step 3 into
-        // `resident_buf`; the machine has not been touched since, so the
-        // sorted id list is still exact.
-        let resident_ids = std::mem::take(&mut self.resident_buf);
-        let resident = |u: UnitId| resident_ids.binary_search(&u.as_loaded_id()).is_ok();
-        self.profit_bufs.rebind_catalog(ctx.catalog);
-        let mut profit = crate::profit::ExpectedProfitEval::with_buffers(
-            now,
-            &resident,
-            std::mem::take(&mut self.profit_bufs),
-        )
-        .with_mono(self.config.ecu.use_mono_cg);
-        self.spec_units_buf.clear();
-        self.spec_rank_buf.clear();
-        for &(block, confidence) in &pred {
-            if confidence < pcfg.confidence_min {
-                break; // predictions come sorted by descending confidence
-            }
-            if block == ctx.forecast.block {
-                continue; // a self-loop is already planned as demand
-            }
-            let Ok(i) = self
-                .forecast_store
-                .binary_search_by_key(&block, |t| t.block)
-            else {
-                continue; // successor never seen: nothing to plan against
-            };
-            if self.config.use_mpu {
-                self.mpu
-                    .correct_into(&self.forecast_store[i], &mut self.spec_forecast_buf);
-            } else {
-                let stored = &self.forecast_store[i];
-                self.spec_forecast_buf.block = stored.block;
-                self.spec_forecast_buf.triggers.clear();
-                self.spec_forecast_buf
-                    .triggers
-                    .extend_from_slice(&stored.triggers);
-            }
-            let sel = crate::selector::select_ises_with_scratch(
-                ctx.catalog,
-                &self.spec_forecast_buf,
-                spec_budget,
-                &resident,
-                ctx.machine.controller(),
-                now,
-                &self.config.selector,
-                &mut profit,
-                &mut self.sel_scratch,
-            );
-            let start = self.spec_units_buf.len() as u32;
-            let mut saved = 0u64;
-            for &u in &sel.load_order {
-                let unit = ctx.catalog.unit(u);
-                // FG only (a CG context program loads in µs — nothing
-                // worth hiding), and never a unit the current block
-                // already loads, owns, or could claim for its own
-                // kernels mid-block.
-                if unit.fabric() != FabricKind::FineGrained
-                    || demand_loads.contains(&u)
-                    || self.present_buf.contains(&u)
-                    || self.kernels_buf.contains(&unit.kernel())
-                {
-                    continue;
-                }
-                self.spec_units_buf.push(u);
-                saved += unit.load_duration().get();
-            }
-            self.sel_scratch.reclaim(sel.choices, sel.load_order);
-            let end = self.spec_units_buf.len() as u32;
-            if end > start && saved > 0 {
-                self.spec_rank_buf
-                    .push((confidence * saved as f64, block, start, end));
-            }
-        }
-        self.profit_bufs = profit.recycle();
-        self.resident_buf = resident_ids;
-        self.pred_buf = pred;
-        // Most expected hidden reconfiguration first; ties go to the
-        // lower block id so plans stay platform-deterministic.
-        self.spec_rank_buf.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        'fill: for &(_, _, start, end) in &self.spec_rank_buf {
-            for &u in &self.spec_units_buf[start as usize..end as usize] {
-                if out.len() >= pcfg.max_units {
-                    break 'fill;
-                }
-                if !out.contains(&u) {
-                    out.push(u);
-                }
-            }
-        }
     }
 
     /// Updates the fabric-slice cap (see [`MrtsConfig::slice`]). Called by
@@ -455,14 +247,10 @@ impl RuntimePolicy for Mrts {
         let cap = ctx.machine.capacity();
         if self.config.slice.unwrap_or(cap).min(cap).is_empty() {
             self.blocks_planned += 1;
-            if self.config.prefetch.enabled {
-                self.note_block(ctx.forecast);
-            }
             return BlockPlan {
                 selections: ctx.forecast.iter().map(|t| (t.kernel, None)).collect(),
                 evict: Vec::new(),
                 load_order: Vec::new(),
-                prefetch: Vec::new(),
                 overhead: Cycles::ZERO,
             };
         }
@@ -634,35 +422,10 @@ impl RuntimePolicy for Mrts {
         self.total_kernels_selected += kernels;
         self.forecast_buf = forecast;
 
-        // 7. Speculative prefetch (DESIGN.md §12): train the control-flow
-        //    predictor on this block's entry, then nominate FG units for
-        //    the most confidently predicted successor blocks, ranked by
-        //    confidence × reconfiguration cycles the prefetch would hide.
-        //    The list is advisory: the engine issues speculative loads
-        //    only into an idle FG port with genuinely free slots, never
-        //    evicts for them, and aborts them before any demand load
-        //    could queue behind one. No overhead is charged — the
-        //    speculative selection overlaps this block's execution, off
-        //    the critical path by construction.
-        let mut prefetch = std::mem::take(&mut self.prefetch_buf);
-        prefetch.clear();
-        if self.config.prefetch.enabled {
-            self.note_block(ctx.forecast);
-            self.flow.predict_into(&mut self.pred_buf);
-            // FG slots plausibly still free once this block's own loads
-            // are placed; the engine re-checks the real machine at issue
-            // time, so this only bounds how much we nominate.
-            let residual_prc = budget.prc().saturating_sub(need.prc());
-            if residual_prc > 0 && !self.pred_buf.is_empty() {
-                self.plan_prefetch_into(ctx, now, residual_prc, &load_order, &mut prefetch);
-            }
-        }
-
         BlockPlan {
             selections: selection.choices,
             evict,
             load_order,
-            prefetch,
             overhead: charged,
         }
     }
@@ -727,11 +490,6 @@ impl RuntimePolicy for Mrts {
         // the zero-budget fast path must not shrink the pool).
         if evict.capacity() > self.evict_buf.capacity() {
             self.evict_buf = evict;
-        }
-        let mut prefetch = plan.prefetch;
-        prefetch.clear();
-        if prefetch.capacity() > self.prefetch_buf.capacity() {
-            self.prefetch_buf = prefetch;
         }
         self.sel_scratch.reclaim(plan.selections, plan.load_order);
     }

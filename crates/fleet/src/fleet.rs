@@ -77,6 +77,13 @@ impl Default for FleetConfig {
     }
 }
 
+/// Latest accepted submission time, in cycles (1000 s at 1 GHz). The
+/// fabric-utilization windows are dense per-shard vectors sized to the
+/// makespan, so an arrival far in the future would allocate them before
+/// any work is simulated; at the default 1 Mcycle window this horizon
+/// keeps each shard's vector near 8 MB.
+pub const ARRIVAL_HORIZON: Cycles = Cycles::new(1_000_000_000_000);
+
 /// Errors of [`run_fleet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
@@ -87,8 +94,8 @@ pub enum FleetError {
         /// Index of the first record earlier than its predecessor.
         index: usize,
     },
-    /// An arrival referenced an app the registry does not hold, or
-    /// carried a malformed SLO field.
+    /// An arrival referenced an app the registry does not hold, carried a
+    /// malformed SLO field, or was submitted past [`ARRIVAL_HORIZON`].
     BadRecord {
         /// Index of the offending record.
         index: usize,
@@ -246,13 +253,23 @@ fn parse_arrivals(
     registry: &AppRegistry,
     records: &[SessionRecord],
 ) -> Result<Vec<Submission>, FleetError> {
+    if let Some(i) = records.windows(2).position(|w| w[1].at < w[0].at) {
+        return Err(FleetError::UnsortedArrivals { index: i + 1 });
+    }
+    // Sorted, so the first record past the horizon is a partition point.
+    let late = records.partition_point(|r| r.at <= ARRIVAL_HORIZON.get());
+    if let Some(r) = records.get(late) {
+        return Err(FleetError::BadRecord {
+            index: late,
+            reason: format!(
+                "at {} is past the arrival horizon of {} cycles",
+                r.at,
+                ARRIVAL_HORIZON.get()
+            ),
+        });
+    }
     let mut subs = Vec::with_capacity(records.len());
-    let mut prev = 0u64;
     for (i, r) in records.iter().enumerate() {
-        if r.at < prev {
-            return Err(FleetError::UnsortedArrivals { index: i });
-        }
-        prev = r.at;
         let app = registry
             .index_of(&r.app)
             .ok_or_else(|| FleetError::BadRecord {
@@ -814,6 +831,12 @@ mod tests {
         assert!(matches!(
             run_fleet(&params, &registry, &bad, &FleetConfig::default()),
             Err(FleetError::BadRecord { index: 0, .. })
+        ));
+        let mut late = toy_records(2, 50_000, 1);
+        late[1].at = ARRIVAL_HORIZON.get() + 1;
+        assert!(matches!(
+            run_fleet(&params, &registry, &late, &FleetConfig::default()),
+            Err(FleetError::BadRecord { index: 1, .. })
         ));
     }
 

@@ -44,7 +44,7 @@ pub mod record;
 pub mod stats;
 pub mod timeline;
 
-pub use engine::{PrefetchStats, RecoveryConfig, Simulator, LOAD_RETRY_BUDGET};
+pub use engine::{RecoveryConfig, Simulator, LOAD_RETRY_BUDGET};
 pub use policy::{
     BlockPlan, ExecContext, ExecMode, ExecPlan, FaultEvent, RiscOnlyPolicy, RuntimePolicy,
     SelectionContext, SelectionIndex,

@@ -212,39 +212,6 @@ pub enum SimEvent {
         /// PRC containers the tenant holds after the step.
         prc: u16,
     },
-    /// A *speculative* reconfiguration was issued into idle config-port
-    /// bandwidth for a predicted-next block (DESIGN.md §12). Unlike
-    /// [`SimEvent::LoadIssued`], a prefetch makes no completion promise: it
-    /// is resolved by a later `PrefetchHit` (the next block wanted it) or
-    /// `PrefetchWasted` (rolled back) — never by a `LoadReady`.
-    PrefetchIssued {
-        /// When the speculative request entered the (idle) port queue.
-        at: Cycles,
-        /// The unit being streamed ahead of demand.
-        unit: UnitId,
-        /// The target fabric.
-        fabric: FabricKind,
-        /// When the transfer would complete if the speculation survives.
-        ready_at: Cycles,
-    },
-    /// A speculative load was promoted to demand: the block that triggered
-    /// next actually wants the unit, which is already resident or further
-    /// along its stream than a trigger-time load could be.
-    PrefetchHit {
-        /// Promotion time (the predicted block's trigger).
-        at: Cycles,
-        /// The correctly prefetched unit.
-        unit: UnitId,
-    },
-    /// A speculation was rolled back: the prediction missed (or the run
-    /// ended first) and the unit — and any in-flight port ticket it held —
-    /// was evicted without ever displacing committed residency.
-    PrefetchWasted {
-        /// Rollback time.
-        at: Cycles,
-        /// The mispredicted unit.
-        unit: UnitId,
-    },
     /// A fleet session was admitted onto a fabric (open-loop runs): the
     /// session's tenant simulator joins the fabric's runner and becomes
     /// runnable. `queued_for` is how long the session waited between
@@ -300,9 +267,6 @@ impl SimEvent {
             | SimEvent::RepartitionGranted { at, .. }
             | SimEvent::DeadlineMiss { at, .. }
             | SimEvent::DegradeStep { at, .. }
-            | SimEvent::PrefetchIssued { at, .. }
-            | SimEvent::PrefetchHit { at, .. }
-            | SimEvent::PrefetchWasted { at, .. }
             | SimEvent::SessionAdmitted { at, .. }
             | SimEvent::SessionDeparted { at, .. }
             | SimEvent::BlockEnd { at, .. } => *at,

@@ -136,9 +136,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 // ------------------------------------------------------------------- parsing
 
+/// Nesting limit for arrays and objects, the same as upstream
+/// `serde_json`: deeper input is rejected with an [`Error`] instead of
+/// overflowing the stack of the recursive-descent parser.
+const RECURSION_LIMIT: u8 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    remaining_depth: u8,
 }
 
 impl<'a> Parser<'a> {
@@ -146,6 +152,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            remaining_depth: RECURSION_LIMIT,
         }
     }
 
@@ -192,11 +199,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, failing once
+    /// [`RECURSION_LIMIT`] levels are open.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        self.remaining_depth -= 1;
+        if self.remaining_depth == 0 {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        let v = parse(self);
+        self.remaining_depth += 1;
+        v
     }
 
     fn string(&mut self) -> Result<String> {
@@ -401,5 +420,21 @@ mod tests {
         assert!(from_str::<u64>("[1,").is_err());
         assert!(from_str::<u64>("1 2").is_err());
         assert!(from_str::<bool>("\"no\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_like_upstream() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(127)).is_ok());
+        let err = from_str::<Value>(&nest(128)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        // Far past the limit: an error, not a stack overflow.
+        let deep = "[".repeat(200_000);
+        assert!(from_str::<Value>(&deep).is_err());
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(from_str::<Value>(&objects).is_err());
     }
 }
