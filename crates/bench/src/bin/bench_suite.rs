@@ -419,20 +419,20 @@ fn main() {
     let mt_cfg = MultitaskConfig::default();
     let mt_blocks: usize = mt_apps.iter().map(|(_, _, t)| t.len()).sum();
     let mt_reps = if quick { 2 } else { 10 };
-    let time_mt = |cfg: &MultitaskConfig| {
-        let mut best = f64::MAX;
-        let mut stats = None;
-        for _ in 0..mt_reps {
-            let t = Instant::now();
-            let s = run_multitask(ArchParams::default(), Resources::new(2, 2), &mt_specs, cfg)
-                .expect("multitask run succeeds");
-            best = best.min(t.elapsed().as_secs_f64());
-            stats = Some(s);
-        }
-        (best, stats.expect("at least one rep"))
-    };
-    let (mt_per_run, mt_stats) = time_mt(&mt_cfg);
-    let mt_makespan = mt_stats.makespan;
+    let mut mt_per_run = f64::MAX;
+    let mut mt_makespan = Cycles::ZERO;
+    for _ in 0..mt_reps {
+        let t = Instant::now();
+        let s = run_multitask(
+            ArchParams::default(),
+            Resources::new(2, 2),
+            &mt_specs,
+            &mt_cfg,
+        )
+        .expect("multitask run succeeds");
+        mt_per_run = mt_per_run.min(t.elapsed().as_secs_f64());
+        mt_makespan = s.makespan;
+    }
     let mt_step_us = mt_per_run * 1e6 / mt_blocks as f64;
     println!(
         "multitask: 2 tenants, {mt_blocks} scheduler steps in {:.1} ms per run \
@@ -452,46 +452,6 @@ fn main() {
         unit: "Mcycles",
         threads: 1,
     });
-
-    // --- 4b. Intra-run parallel setup speedup ---------------------------
-    // The same 2-tenant run with the runner's setup barrier striped over
-    // 4 scoped workers (per-tenant RISC baselines + demand suffixes). The
-    // stats must stay byte-identical; the speedup is bounded by the
-    // setup share of the run and by the machine's core count (≈1.0 on the
-    // single-CPU CI box — the entry tracks that it never *costs*).
-    let mt_par_cfg = MultitaskConfig {
-        workers: 4,
-        ..MultitaskConfig::default()
-    };
-    let (mt_par_run, mt_par_stats) = time_mt(&mt_par_cfg);
-    assert_eq!(
-        mt_stats, mt_par_stats,
-        "intra-run workers perturbed the multitask run"
-    );
-    // The byte-identity assertion above is the valuable part and always
-    // runs; the wall-clock ratio is only a meaningful "speedup" when the
-    // box actually has more than one core to stripe the workers across.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores > 1 {
-        let mt_parallel_speedup = mt_per_run / mt_par_run.max(1e-12);
-        println!(
-            "multitask workers=4: {:.1} ms per run -> {mt_parallel_speedup:.2}x vs serial \
-             (byte-identical stats)",
-            mt_par_run * 1e3
-        );
-        entries.push(Entry {
-            name: "multitask_parallel_speedup",
-            value: mt_parallel_speedup,
-            unit: "x",
-            threads: 4,
-        });
-    } else {
-        println!(
-            "multitask workers=4: {:.1} ms per run (byte-identical stats; \
-             single CPU — speedup entry skipped)",
-            mt_par_run * 1e3
-        );
-    }
 
     // --- 4c. Fleet driver throughput ------------------------------------
     // Sessions retired per wall-clock second by the `mrts-fleet` open-loop

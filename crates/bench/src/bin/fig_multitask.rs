@@ -25,11 +25,8 @@
 use mrts_arch::{ArchParams, Resources};
 use mrts_bench::{par, print_header, DEFAULT_SEED};
 use mrts_ise::IseCatalog;
-use mrts_multitask::{
-    run_multitask, run_multitask_with_events, ArbiterPolicy, MultitaskConfig, SchedulerKind,
-    TenantSpec,
-};
-use mrts_sim::{events_to_jsonl, MultitaskStats, VecSink};
+use mrts_multitask::{run_multitask, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantSpec};
+use mrts_sim::MultitaskStats;
 use mrts_workload::apps::{CipherApp, FftApp};
 use mrts_workload::h264::H264Encoder;
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
@@ -159,37 +156,6 @@ fn main() {
     println!(
         "dynamic mRTS >  RISPP-like       at every tenant count: {}",
         if ok_rispp {
-            "yes"
-        } else {
-            "NO — regression!"
-        }
-    );
-
-    // Intra-run parallelism smoke: the full mix run twice — fully serial
-    // and with 4 setup workers — must produce byte-identical stats and
-    // event JSONL (the runner's setup barrier merges per-tenant results in
-    // tenant-index order, so worker count must never show in the output).
-    let run_with = |workers: usize| {
-        let specs: Vec<TenantSpec<'_>> = mix
-            .iter()
-            .map(|a| TenantSpec::new(a.name.clone(), &a.catalog, &a.trace))
-            .collect();
-        let cfg = MultitaskConfig {
-            workers,
-            ..MultitaskConfig::default()
-        };
-        let mut sink = VecSink::new();
-        let stats =
-            run_multitask_with_events(ArchParams::default(), combo, &specs, &cfg, &mut sink)
-                .expect("multitask run must succeed");
-        let jsonl = events_to_jsonl(&sink.take()).expect("events serialize");
-        (stats, jsonl)
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-    println!(
-        "serial vs 4-worker intra-run byte-identical (stats + events): {}",
-        if serial == parallel {
             "yes"
         } else {
             "NO — regression!"

@@ -32,10 +32,9 @@ use mrts_arch::{ArchParams, Cycles, Resources};
 use mrts_bench::{par, print_header, DEFAULT_SEED};
 use mrts_ise::IseCatalog;
 use mrts_multitask::{
-    run_multitask, run_multitask_with_events, ArbiterPolicy, Criticality, MultitaskConfig,
-    SchedulerKind, Slo, TenantSpec,
+    run_multitask, ArbiterPolicy, Criticality, MultitaskConfig, SchedulerKind, Slo, TenantSpec,
 };
-use mrts_sim::{events_to_jsonl, MultitaskStats, VecSink};
+use mrts_sim::MultitaskStats;
 use mrts_workload::apps::{CipherApp, FftApp};
 use mrts_workload::h264::H264Encoder;
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
@@ -230,52 +229,6 @@ fn main() {
     println!(
         "degrade-don't-drop: every tenant completed all executions: {}",
         if none_dropped {
-            "yes"
-        } else {
-            "NO — regression!"
-        }
-    );
-
-    // Intra-run parallelism smoke on the event-heaviest cell (deep
-    // overload, ladder armed): fully serial vs 4 setup workers must be
-    // byte-identical in both stats and event JSONL — deadline misses,
-    // degrade steps and all.
-    let smoke_slo = Slo {
-        session_deadline: None,
-        block_period: Some(Cycles::new(
-            (base * 100 / factors[factors.len() - 1]).max(1),
-        )),
-        criticality: Criticality::Hard,
-    };
-    let run_with = |workers: usize| {
-        let specs: Vec<TenantSpec<'_>> = mix
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let spec = TenantSpec::new(a.name.clone(), &a.catalog, &a.trace);
-                if i == 0 {
-                    spec.with_slo(smoke_slo)
-                } else {
-                    spec
-                }
-            })
-            .collect();
-        let cfg = MultitaskConfig {
-            workers,
-            ..config(SchedulerKind::EarliestDeadline, true)
-        };
-        let mut sink = VecSink::new();
-        let stats =
-            run_multitask_with_events(ArchParams::default(), combo, &specs, &cfg, &mut sink)
-                .expect("multitask run must succeed");
-        let jsonl = events_to_jsonl(&sink.take()).expect("events serialize");
-        (stats, jsonl)
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-    println!(
-        "serial vs 4-worker intra-run byte-identical (stats + events): {}",
-        if serial == parallel {
             "yes"
         } else {
             "NO — regression!"

@@ -428,11 +428,8 @@ pub fn multitask(args: &Args) -> CliResult {
     let budget = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
 
     // One full multi-tenant pass; rebuilt per replay thread so each run is
-    // completely independent state. `workers` switches the runner's
-    // intra-run parallel setup phase on (1 = fully serial reference).
-    let run_once = |record: bool,
-                    workers: usize|
-     -> Result<(MultitaskStats, Option<String>), String> {
+    // completely independent state.
+    let run_once = |record: bool| -> Result<(MultitaskStats, Option<String>), String> {
         let specs: Vec<TenantSpec<'_>> = built
             .iter()
             .zip(&requests)
@@ -452,10 +449,6 @@ pub fn multitask(args: &Args) -> CliResult {
                 spec
             })
             .collect();
-        let cfg = MultitaskConfig {
-            workers,
-            ..cfg.clone()
-        };
         if record {
             let mut sink = VecSink::new();
             let stats =
@@ -471,18 +464,12 @@ pub fn multitask(args: &Args) -> CliResult {
     };
 
     let (stats, jsonl) = if threads > 1 {
-        // The determinism proof now cuts two ways: replica 0 is the fully
-        // serial reference, every other replica runs the runner's
-        // intra-run parallel phase with `threads` workers — so the compare
-        // enforces both run-to-run reproducibility and serial/parallel
-        // byte-identity of stats and event logs.
+        // Replay the identical configuration on `threads` OS threads and
+        // demand byte-identical statistics and event logs.
         let run_once = &run_once;
         let runs: Vec<(MultitaskStats, Option<String>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let workers = if i == 0 { 1 } else { threads };
-                    scope.spawn(move || run_once(record, workers))
-                })
+                .map(|_| scope.spawn(move || run_once(record)))
                 .collect();
             handles
                 .into_iter()
@@ -498,14 +485,11 @@ pub fn multitask(args: &Args) -> CliResult {
                 );
             }
         }
-        println!(
-            "determinism: serial vs {threads}-worker intra-run × {threads} threads, \
-             byte-identical stats and event logs"
-        );
+        println!("determinism: {threads} threads, byte-identical stats and event logs");
         let mut runs = runs;
         runs.swap_remove(0)
     } else {
-        run_once(record, 1).map_err(|e| -> Box<dyn std::error::Error> { e.into() })?
+        run_once(record).map_err(|e| -> Box<dyn std::error::Error> { e.into() })?
     };
     if let (Some(path), Some(log)) = (events_out, &jsonl) {
         std::fs::write(path, log)?;

@@ -20,11 +20,13 @@
 //!   Application + IseCatalog + WorkloadModel (trace-ready)
 //! ```
 //!
-//! The hand-built constructors in `mrts-workload` stay as the *oracle*: the
-//! checked-in manifests under `manifests/` lower to byte-identical
-//! catalogues, traces and `RunStats` (pinned by the `ingest_goldens` test),
-//! and the CLI/fleet/bench layers all obtain their applications through
-//! [`fn@model`] so the ingested path is the production path.
+//! The checked-in manifests under `manifests/` are the builtin apps,
+//! embedded at compile time. The hand-built constructors in
+//! `mrts-workload` stay only as *oracles*: the manifests lower to
+//! byte-identical catalogues, traces and `RunStats` (pinned by the
+//! `ingest_goldens` test), and the CLI/fleet/bench layers all obtain their
+//! applications through [`fn@model`] so the ingested path is the
+//! production path.
 //!
 //! ## Entry points
 //!

@@ -115,11 +115,31 @@ pub fn lower(manifest: &Manifest) -> Result<Lowered, IngestError> {
 mod tests {
     use super::*;
     use crate::builtin;
+    use mrts_workload::apps::{cipher_application, fft_application};
+    use mrts_workload::h264::h264_application;
+    use mrts_workload::synthetic::ToyApp;
+    use mrts_workload::WorkloadModel;
 
     #[test]
-    fn lowering_reproduces_the_reflected_application() {
-        // from_application ∘ lower is identity on the IR, and the lowered
-        // Application matches the constructor it was reflected from.
+    fn lowering_reproduces_the_constructor_applications() {
+        // The embedded manifests survive DCE unchanged, lower to exactly the
+        // structure the hand-built constructors assemble, and derive
+        // monotone trade-off curves.
+        let oracles = [
+            ("h264", h264_application()),
+            ("fft", fft_application()),
+            ("cipher", cipher_application()),
+            ("toy", ToyApp::new().application().clone()),
+        ];
+        for (name, oracle) in &oracles {
+            let lowered = lower(&builtin::manifest_for(name).expect("builtin exists"))
+                .expect("builtin lowers");
+            assert_eq!(
+                format!("{:?}", lowered.app),
+                format!("{oracle:?}"),
+                "{name}: lowered application differs from the constructor's"
+            );
+        }
         for name in builtin::BUILTIN_APPS {
             let m = builtin::manifest_for(name).expect("builtin exists");
             let lowered = lower(&m).expect("builtin lowers");

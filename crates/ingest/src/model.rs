@@ -65,28 +65,41 @@ impl WorkloadModel for ManifestModel {
 mod tests {
     use super::*;
     use crate::builtin;
+    use mrts_workload::apps::{CipherApp, FftApp};
     use mrts_workload::h264::H264Encoder;
+    use mrts_workload::synthetic::ToyApp;
     use mrts_workload::VideoModel;
 
     #[test]
     fn manifest_model_matches_the_constructor_frame_for_frame() {
-        let model = ManifestModel::new(&builtin::manifest_for("h264").expect("h264"))
-            .expect("h264 manifest lowers");
-        let oracle = H264Encoder::new();
-        let video = VideoModel::paper_default(1);
-        for frame in video.frames() {
-            assert_eq!(
-                model.kernel_executions(&frame),
-                oracle.kernel_executions(&frame),
-                "frame {}: rate rules must mirror the constructor exactly",
-                frame.index
-            );
-        }
-        for k in 0..11u16 {
-            assert_eq!(
-                model.kernel_gap(KernelId(k)),
-                oracle.kernel_gap(KernelId(k))
-            );
+        let oracles: [(&str, Box<dyn WorkloadModel>); 4] = [
+            ("h264", Box::new(H264Encoder::new())),
+            ("fft", Box::new(FftApp::new())),
+            ("cipher", Box::new(CipherApp::new())),
+            ("toy", Box::new(ToyApp::new())),
+        ];
+        for (name, oracle) in oracles {
+            let model = ManifestModel::new(&builtin::manifest_for(name).expect("builtin"))
+                .expect("builtin manifest lowers");
+            for seed in 1..=4 {
+                for frame in VideoModel::paper_default(seed).frames() {
+                    assert_eq!(
+                        model.kernel_executions(&frame),
+                        oracle.kernel_executions(&frame),
+                        "{name} seed {seed} frame {}: rate rules must mirror the constructor",
+                        frame.index
+                    );
+                }
+            }
+            let kernels = oracle.application().kernel_count();
+            assert_eq!(model.application().kernel_count(), kernels, "{name}");
+            for k in 0..kernels as u16 {
+                assert_eq!(
+                    model.kernel_gap(KernelId(k)),
+                    oracle.kernel_gap(KernelId(k)),
+                    "{name}: kernel {k} gap"
+                );
+            }
         }
     }
 }

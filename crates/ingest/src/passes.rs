@@ -10,10 +10,10 @@
 //! * [`dce`] — removes op nodes not backward-reachable from the declared
 //!   outputs. Inputs are never removed (they are interface, not work).
 //!   With no declared outputs every sink op counts as live, which makes
-//!   the pass the *identity* — so manifests reflected from the hand-built
-//!   constructors lower byte-identically. With declared outputs, removing
-//!   the dead ops is exactly what keeps a polluted manifest's `RunStats`
-//!   equal to its clean twin's.
+//!   the pass the *identity* — so the builtin manifests, which declare no
+//!   outputs, lower to exactly the hand-built constructors' structures.
+//!   With declared outputs, removing the dead ops is exactly what keeps a
+//!   polluted manifest's `RunStats` equal to its clean twin's.
 //! * [`cluster`] — groups each kernel's data paths into a candidate ISE
 //!   and derives its grain affinity from the op mix; purely analytical
 //!   (never changes the IR), feeds `mrts-cli ingest --check` and the

@@ -114,16 +114,6 @@ pub struct MultitaskConfig {
     /// loans when laxity recovers. A no-op when no tenant has an SLO, so
     /// the default `true` leaves SLO-free runs bit-identical.
     pub degrade: bool,
-    /// Worker threads for the intra-run parallel phases (`1` = fully
-    /// serial). The block-dispatch loop itself is inherently sequential —
-    /// every scheduler pick depends on the outcome of the previous block
-    /// through the shared clock — so the workers parallelise the phase
-    /// where tenants *are* independent: the per-tenant setup barrier
-    /// before the shared clock starts (solo RISC baselines, each a full
-    /// trace simulation, plus the remaining-demand suffix sums). Results
-    /// merge in tenant-index order at the barrier, so the output is
-    /// byte-identical to the serial run for any worker count.
-    pub workers: usize,
     /// mRTS tuning knobs (the MPU learning rate), applied identically to
     /// every tenant's policy instance. Ignored by the baseline policies.
     /// The default is the untuned configuration.
@@ -142,7 +132,6 @@ impl Default for MultitaskConfig {
             repartition_min_demand: Cycles::new(50_000_000),
             admission: AdmissionPolicy::Off,
             degrade: true,
-            workers: 1,
             tuning: PolicyTuning::default(),
         }
     }
@@ -462,10 +451,10 @@ fn demand_suffix(catalog: &IseCatalog, trace: &Trace) -> Vec<u64> {
     suffix
 }
 
-/// The per-tenant outputs of the parallel setup barrier (see
-/// [`MultitaskConfig::workers`]). Also the unit of work the fleet
-/// precomputes per session before its open-loop run starts (sessions with
-/// the same app/trace share one prep via [`TenantPrep::clone`]).
+/// The per-tenant outputs of the setup done before the shared clock
+/// starts. Also the unit of work the fleet precomputes per session before
+/// its open-loop run starts (sessions with the same app/trace share one
+/// prep via [`TenantPrep::clone`]).
 #[derive(Debug, Clone)]
 pub struct TenantPrep {
     /// The tenant's solo RISC-only wall-clock time: the numerator of its
@@ -497,39 +486,6 @@ pub fn prep_session(
         risc_baseline,
         demand_suffix: demand_suffix(spec.catalog, spec.trace),
     })
-}
-
-/// Runs [`prep_session`] for every tenant, striping the tenant list across
-/// `workers` scoped threads when `workers > 1`. Each worker owns one
-/// contiguous chunk of the results vector, and the scope join is the
-/// barrier at which the chunks merge back in tenant-index order — the
-/// `(time, tenant)` merge degenerates to plain tenant order here because
-/// every prep happens at time zero, before the shared clock exists. The
-/// returned vector is therefore byte-identical for any worker count.
-fn prepare_tenants(
-    params: &ArchParams,
-    specs: &[TenantSpec<'_>],
-    workers: usize,
-) -> Vec<Result<TenantPrep, MultitaskError>> {
-    let workers = workers.clamp(1, specs.len().max(1));
-    if workers == 1 {
-        return specs.iter().map(|s| prep_session(params, s)).collect();
-    }
-    let mut out: Vec<Option<Result<TenantPrep, MultitaskError>>> =
-        specs.iter().map(|_| None).collect();
-    let chunk = specs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (spec_chunk, out_chunk) in specs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (spec, slot) in spec_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(prep_session(params, spec));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every tenant stripe was processed"))
-        .collect()
 }
 
 /// What demoting tenant `v` would free: the shallowest ladder level below
@@ -960,14 +916,6 @@ impl<'a> MultitaskRunner<'a> {
         };
         let scheduler = cfg.scheduler.build(&weights);
 
-        // Per-tenant setup: the one phase of a multi-tenant run where
-        // tenants are fully independent of each other (no shared clock, no
-        // arbiter state) — `cfg.workers` scoped threads each take a
-        // contiguous stripe of tenants and the results merge back in
-        // tenant-index order at the scope's join barrier, before the
-        // shared clock starts ticking.
-        let preps = prepare_tenants(&params, specs, cfg.workers);
-
         let mut runner = MultitaskRunner {
             params,
             cfg: cfg.clone(),
@@ -989,14 +937,14 @@ impl<'a> MultitaskRunner<'a> {
             deadlines: Vec::with_capacity(specs.len()),
             laxities: Vec::with_capacity(specs.len()),
         };
-        for ((i, spec), prep) in specs.iter().enumerate().zip(preps) {
+        for (i, spec) in specs.iter().enumerate() {
             let slice = runner.arbiter.grant(i);
             let tenant = build_tenant(
                 &runner.params,
                 &runner.cfg,
                 runner.shared.as_ref(),
                 spec,
-                prep?,
+                prep_session(&runner.params, spec)?,
                 slice,
                 i,
                 weights[i],

@@ -40,7 +40,6 @@ pub mod calendar;
 pub mod edpe;
 pub mod engine;
 pub mod policy;
-pub mod record;
 pub mod stats;
 pub mod timeline;
 

@@ -11,8 +11,7 @@
 
 use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
-use mrts::sim::record::Recording;
-use mrts::sim::{RiscOnlyPolicy, Simulator};
+use mrts::sim::{RiscOnlyPolicy, SimEvent, Simulator, VecSink};
 use mrts::workload::apps::{CipherApp, FftApp};
 use mrts::workload::h264::H264Encoder;
 use mrts::workload::{MergedWorkload, TraceBuilder, VideoModel, WorkloadModel};
@@ -38,8 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let combo = Resources::new(2, 2);
     let machine = || Machine::new(ArchParams::default(), combo);
     let risc = Simulator::run(&catalog, machine()?, &trace, &mut RiscOnlyPolicy::new());
-    let mut recording = Recording::new(Mrts::new());
-    let mrts = Simulator::run(&catalog, machine()?, &trace, &mut recording);
+    let sink = VecSink::new();
+    let mut sim = Simulator::new(&catalog, machine()?);
+    sim.attach_events(0, Box::new(sink.clone()));
+    let mrts = sim.run_trace(&trace, &mut Mrts::new());
+    sim.finish_events();
+    let events = sink.take();
 
     println!();
     println!(
@@ -50,22 +53,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // How much fabric churn does task interleaving cause?
-    let records = recording.records();
-    let loads: usize = records.iter().map(|r| r.loaded.len()).sum();
-    let evictions: usize = records.iter().map(|r| r.evicted.len()).sum();
+    let count = |pred: fn(&SimEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
+    let triggers = count(|e| matches!(e, SimEvent::BlockStart { .. }));
+    let loads = count(|e| matches!(e, SimEvent::LoadIssued { .. }));
     println!(
-        "over {} trigger instructions mRTS streamed {loads} units and evicted {evictions} \
-         (tasks steal fabric from each other at every block boundary)",
-        records.len()
+        "over {triggers} trigger instructions mRTS streamed {loads} units \
+         (tasks steal fabric from each other at every block boundary)"
     );
 
-    // Which tasks' kernels kept changing their selected ISE?
+    // Which tasks' kernels kept switching implementation?
     println!();
-    println!("selection changes per kernel (adaptivity under fabric sharing):");
+    println!("implementation changes per kernel (adaptivity under fabric sharing):");
+    let mut last = vec![None; catalog.kernels().len()];
+    let mut changes = vec![0usize; catalog.kernels().len()];
+    for (_, event) in &events {
+        if let SimEvent::ExecBatch { kernel, class, .. } = event {
+            let k = usize::from(kernel.index());
+            if last[k].is_some_and(|prev| prev != *class) {
+                changes[k] += 1;
+            }
+            last[k] = Some(*class);
+        }
+    }
     for kernel in catalog.kernels() {
-        let changes = recording.selection_changes(kernel.id());
-        if changes > 0 {
-            println!("  {:<22} {changes} changes", kernel.name());
+        let n = changes[usize::from(kernel.id().index())];
+        if n > 0 {
+            println!("  {:<22} {n} changes", kernel.name());
         }
     }
     Ok(())

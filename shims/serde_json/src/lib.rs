@@ -260,12 +260,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -403,6 +408,16 @@ mod tests {
         let s = "a\"b\\c\nd";
         let json = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&json).unwrap(), s);
+    }
+
+    #[test]
+    fn non_ascii_strings_survive_escapes() {
+        // Multi-byte scalars (2-, 3- and 4-byte) directly next to escapes.
+        let json = r#""é\n日本\"語\\🦀\u00e9x""#;
+        assert_eq!(from_str::<String>(json).unwrap(), "é\n日本\"語\\🦀éx");
+        let s = "ü\t→\"😀";
+        assert_eq!(from_str::<String>(&to_string(&s).unwrap()).unwrap(), s);
+        assert!(from_str::<String>("\"日本").is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden equivalence for the ingestion pipeline: the checked-in
-//! manifests under `manifests/` are the canonical serialization of the
-//! builtin IR, and lowering them reproduces the hand-built constructors
+//! manifests under `manifests/` are the builtin apps, in canonical
+//! serialization, and lowering them reproduces the hand-built constructors
 //! byte for byte — same catalogue, same trace, same simulated statistics.
 //!
 //! These tests are the refactor's safety net: `mrts-cli`, the fleet
@@ -16,6 +16,7 @@ use mrts::ingest::{builtin, Manifest};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
 use mrts::workload::apps::{CipherApp, FftApp};
 use mrts::workload::h264::H264Encoder;
+use mrts::workload::synthetic::ToyApp;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// The checked-in manifest file for `name` (tests run from the workspace
@@ -31,17 +32,17 @@ fn checked_in_manifests_are_the_canonical_builtin_serialization() {
         let text = manifest_bytes(name);
         let parsed = Manifest::from_json(&text)
             .unwrap_or_else(|e| panic!("manifests/{name}.json does not parse: {e}"));
+        // The builtin is the file itself, embedded at compile time.
         let built = builtin::load(name).expect("builtin manifest");
         assert_eq!(
             parsed, built,
-            "manifests/{name}.json drifted from the builtin IR — \
-             regenerate with `mrts-cli ingest --dump {name} --out manifests/{name}.json`"
+            "builtin '{name}' is not manifests/{name}.json"
         );
         // The file is in canonical form: re-serializing the IR reproduces
         // its bytes exactly (so `--dump` output is stable and diffs are
         // meaningful).
         assert_eq!(
-            built.to_json(),
+            parsed.to_json(),
             text,
             "manifests/{name}.json is not in canonical serialization"
         );
@@ -80,10 +81,11 @@ fn run(catalog: &mrts::ise::IseCatalog, trace: &Trace, policy: &mut dyn RuntimeP
 
 #[test]
 fn ingested_apps_reproduce_the_constructors_byte_for_byte() {
-    let constructors: [(&str, Box<dyn WorkloadModel>); 3] = [
+    let constructors: [(&str, Box<dyn WorkloadModel>); 4] = [
         ("h264", Box::new(H264Encoder::new())),
         ("fft", Box::new(FftApp::new())),
         ("cipher", Box::new(CipherApp::new())),
+        ("toy", Box::new(ToyApp::new())),
     ];
     for (name, model) in constructors {
         let (c_cat, c_trace) = constructor_artifacts(model.as_ref(), 1);
