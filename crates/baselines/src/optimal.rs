@@ -353,7 +353,6 @@ mod tests {
     use mrts_core::Mrts;
     use mrts_ise::TriggerInstruction;
     use mrts_sim::Simulator;
-    use mrts_workload::h264::H264Encoder;
     use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
     use mrts_workload::{TraceBuilder, WorkloadModel};
 
@@ -483,7 +482,7 @@ mod tests {
 
     #[test]
     fn online_optimal_at_least_matches_mrts_on_h264() {
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").unwrap();
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)
@@ -503,7 +502,7 @@ mod tests {
     fn combination_space_is_paper_scale() {
         // The paper quotes >78 million combinations for six kernels; our
         // transform_encode block has seven kernels with dozens of variants.
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").unwrap();
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)

@@ -2,24 +2,19 @@
 //! the ISE selector, whose count drives the Section 5.4 overhead model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrts_arch::{ArchParams, Cycles, LoadRequest, ReconfigurationController};
+use mrts_arch::{Cycles, LoadRequest, ReconfigurationController};
+use mrts_bench::Testbed;
 use mrts_core::expected_profit;
-use mrts_ise::{IseCatalog, TriggerInstruction, UnitId};
-use mrts_workload::h264::{h264_application, H264Kernel};
-
-fn catalog() -> IseCatalog {
-    h264_application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable")
-}
+use mrts_ise::{TriggerInstruction, UnitId};
 
 fn none_resident(_: UnitId) -> bool {
     false
 }
 
 fn bench_profit(c: &mut Criterion) {
-    let catalog = catalog();
-    let deblock = H264Kernel::Deblock.id();
+    let tb = Testbed::new("h264", 1);
+    let deblock = tb.kernel("deblock");
+    let catalog = tb.catalog;
     let trigger = TriggerInstruction::new(deblock, 4_000, Cycles::new(1_000), Cycles::new(350));
     let idle = ReconfigurationController::new();
     let mut busy = ReconfigurationController::new();

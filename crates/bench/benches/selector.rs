@@ -4,16 +4,13 @@
 //! combinations for six kernels).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrts_arch::{ArchParams, Cycles, ReconfigurationController, Resources};
+use mrts_arch::{Cycles, ReconfigurationController, Resources};
 use mrts_baselines::{dp_optimal_selection, exhaustive_optimal_profit};
 use mrts_core::selector::{select_ises, SelectorConfig};
 use mrts_ise::{IseCatalog, TriggerBlock, TriggerInstruction, UnitId};
-use mrts_workload::h264::h264_application;
 
 fn catalog() -> IseCatalog {
-    h264_application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable")
+    mrts_bench::Testbed::new("h264", 1).catalog
 }
 
 fn forecast(catalog: &IseCatalog, kernels: usize) -> TriggerBlock {

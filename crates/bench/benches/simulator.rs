@@ -6,29 +6,16 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrts_arch::{ArchParams, Machine, Resources};
 use mrts_baselines::OnlineOptimalPolicy;
+use mrts_bench::Testbed;
 use mrts_core::Mrts;
 use mrts_sim::{RiscOnlyPolicy, Simulator};
-use mrts_workload::h264::H264Encoder;
-use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
-
-fn setup() -> (mrts_ise::IseCatalog, Trace) {
-    let encoder = H264Encoder::new();
-    let catalog = encoder
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable");
-    let trace = TraceBuilder::new(&encoder)
-        .video(VideoModel::paper_default(1))
-        .build();
-    (catalog, trace)
-}
 
 fn machine() -> Machine {
     Machine::new(ArchParams::default(), Resources::new(2, 2)).expect("valid machine")
 }
 
 fn bench_simulator(c: &mut Criterion) {
-    let (catalog, trace) = setup();
+    let Testbed { catalog, trace, .. } = Testbed::new("h264", 1);
     let mut group = c.benchmark_group("simulator_full_trace");
     group.bench_function("risc_only", |b| {
         b.iter(|| Simulator::run(&catalog, machine(), &trace, &mut RiscOnlyPolicy::new()))

@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrts_arch::ArchParams;
-use mrts_workload::h264::H264Encoder;
 use mrts_workload::{TraceBuilder, VideoModel, WorkloadModel};
 
 fn bench_workload(c: &mut Criterion) {
@@ -11,7 +10,7 @@ fn bench_workload(c: &mut Criterion) {
     group.bench_function("video_16_frames_cif", |b| {
         b.iter(|| VideoModel::paper_default(1).frames())
     });
-    let encoder = H264Encoder::new();
+    let encoder = mrts_ingest::model("h264").expect("builtin h264 lowers");
     group.bench_function("trace_build", |b| {
         b.iter(|| {
             TraceBuilder::new(&encoder)

@@ -11,8 +11,7 @@ use mrts_arch::{ArchParams, Machine, Resources};
 use mrts_bench::{print_header, Testbed, DEFAULT_SEED};
 use mrts_core::{EcuConfig, Mrts, MrtsConfig};
 use mrts_sim::Simulator;
-use mrts_workload::h264::H264Encoder;
-use mrts_workload::{TraceBuilder, VideoModel, WorkloadModel};
+use mrts_workload::WorkloadModel;
 
 fn main() {
     print_header(
@@ -20,7 +19,7 @@ fn main() {
         "contribution of monoCG, MPU feedback and parallel-copy variants",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let combo = Resources::new(2, 2);
 
     let full = tb.run(combo, &mut Mrts::new());
@@ -45,18 +44,14 @@ fn main() {
     report("without MPU feedback", base, &s);
 
     // Catalogue ablation: no parallel-copy variants.
-    let encoder = H264Encoder::new();
     let mut builder =
         mrts_ise::CatalogBuilder::new(ArchParams::default()).without_parallel_copies();
-    for spec in encoder.application().kernel_specs() {
+    for spec in tb.model.application().kernel_specs() {
         builder = builder.kernel(spec.clone());
     }
     let catalog = builder.build().expect("catalog builds");
-    let trace = TraceBuilder::new(&encoder)
-        .video(VideoModel::paper_default(DEFAULT_SEED))
-        .build();
     let machine = Machine::new(ArchParams::default(), combo).expect("valid machine");
-    let s = Simulator::run(&catalog, machine, &trace, &mut Mrts::new());
+    let s = Simulator::run(&catalog, machine, &tb.trace, &mut Mrts::new());
     report("without parallel-copy variants", base, &s);
 }
 

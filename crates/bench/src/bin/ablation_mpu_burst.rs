@@ -15,7 +15,6 @@ use mrts_bench::print_header;
 use mrts_core::{Mrts, MrtsConfig};
 use mrts_ise::IseCatalog;
 use mrts_sim::Simulator;
-use mrts_workload::h264::H264Encoder;
 use mrts_workload::synthetic::{synthetic_trace, Pattern};
 use mrts_workload::{Trace, WorkloadModel};
 
@@ -25,7 +24,7 @@ fn main() {
         "error back-propagation vs static forecasts on non-stationary series",
         0,
     );
-    let encoder = H264Encoder::new();
+    let encoder = mrts_ingest::model("h264").expect("builtin h264 lowers");
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)

@@ -39,7 +39,7 @@ fn main() {
         "speedup retention of RISPP-like / offline-optimal / mRTS under injected faults",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let combo = Resources::new(2, 2); // the paper's headline machine
     let capacity = tb.machine(combo).capacity();
 

@@ -17,7 +17,7 @@ fn main() {
         "mRTS speedup vs RISC-mode per fabric combination, grouped by grain",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let risc = tb.run(Resources::NONE, &mut RiscOnlyPolicy::new());
     let risc_time = risc.total_execution_time().get() as f64;
 

@@ -14,7 +14,6 @@
 use mrts_arch::Cycles;
 use mrts_bench::{print_header, Testbed, DEFAULT_SEED};
 use mrts_ise::{Grain, Ise};
-use mrts_workload::h264::H264Kernel;
 
 fn main() {
     print_header(
@@ -22,8 +21,8 @@ fn main() {
         "pif of three deblocking-filter ISEs vs. number of executions",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
-    let deblock = H264Kernel::Deblock.id();
+    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let deblock = tb.kernel("deblock");
 
     // The three case-study ISEs: best full-coverage variant per grain.
     let pick = |grain: Grain| -> &Ise {

@@ -12,7 +12,7 @@
 use mrts_arch::Cycles;
 use mrts_bench::{print_header, Testbed, DEFAULT_SEED};
 use mrts_ise::{Grain, Ise};
-use mrts_workload::h264::H264Kernel;
+use mrts_workload::WorkloadModel;
 
 fn main() {
     print_header(
@@ -20,8 +20,8 @@ fn main() {
         "deblocking-filter executions per frame + performance-wise best ISE",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
-    let deblock = H264Kernel::Deblock.id();
+    let tb = Testbed::new("h264", DEFAULT_SEED);
+    let deblock = tb.kernel("deblock");
     let frames = mrts_workload::VideoModel::paper_default(DEFAULT_SEED).frames();
 
     let pick = |grain: Grain| -> &Ise {
@@ -67,7 +67,7 @@ fn main() {
     println!("{}", "-".repeat(72));
     let mut bests = Vec::new();
     for f in &frames {
-        let e = tb.encoder.deblock_executions(f);
+        let e = tb.model.kernel_executions(f)[usize::from(deblock.index())];
         let (mut best, mut best_pif) = ("?", f64::NEG_INFINITY);
         for ((name, ise), r) in ises.iter().zip(&recfg) {
             let pif = ise.performance_improvement_factor(e, *r);

@@ -21,7 +21,7 @@ fn main() {
         "% performance difference: greedy ISE selection vs. online-optimal",
         DEFAULT_SEED,
     );
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     // The RISC-mode reference for the "performance improvement" metric the
     // paper's Fig. 9 uses (improvement = cycles saved vs RISC-mode).
     let risc = tb

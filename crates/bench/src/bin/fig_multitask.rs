@@ -23,13 +23,9 @@
 //! Flags: `--quick` (CI smoke: small synthetic-ish mix), `--threads N`.
 
 use mrts_arch::{ArchParams, Resources};
-use mrts_bench::{par, print_header, DEFAULT_SEED};
-use mrts_ise::IseCatalog;
+use mrts_bench::{par, print_header, Testbed, DEFAULT_SEED};
 use mrts_multitask::{run_multitask, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantSpec};
 use mrts_sim::MultitaskStats;
-use mrts_workload::apps::{CipherApp, FftApp};
-use mrts_workload::h264::H264Encoder;
-use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// The three contenders of the figure.
 const CONFIGS: [(&str, &str, ArbiterPolicy); 3] = [
@@ -37,28 +33,6 @@ const CONFIGS: [(&str, &str, ArbiterPolicy); 3] = [
     ("RISPP-like", "rispp", ArbiterPolicy::Dynamic),
     ("static-part", "mrts", ArbiterPolicy::Static),
 ];
-
-/// One tenant's prebuilt workload.
-struct App {
-    name: String,
-    catalog: IseCatalog,
-    trace: Trace,
-}
-
-fn build(model: &dyn WorkloadModel, seed: u64) -> App {
-    let catalog = model
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("catalog construction");
-    let trace = TraceBuilder::new(model)
-        .video(VideoModel::paper_default(seed))
-        .build();
-    App {
-        name: model.application().name().to_owned(),
-        catalog,
-        trace,
-    }
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -76,19 +50,19 @@ fn main() {
     // The tenant mix, built once and shared read-only by all cells. The
     // quick mix swaps the 48-activation H.264 encoder for the lighter
     // 16-activation apps so CI smoke runs stay fast.
-    let mix: Vec<App> = if quick {
+    let mix: Vec<Testbed> = if quick {
         vec![
-            build(&CipherApp::new(), DEFAULT_SEED),
-            build(&FftApp::new(), DEFAULT_SEED + 1),
-            build(&CipherApp::new(), DEFAULT_SEED + 2),
-            build(&FftApp::new(), DEFAULT_SEED + 3),
+            Testbed::new("cipher", DEFAULT_SEED),
+            Testbed::new("fft", DEFAULT_SEED + 1),
+            Testbed::new("cipher", DEFAULT_SEED + 2),
+            Testbed::new("fft", DEFAULT_SEED + 3),
         ]
     } else {
         vec![
-            build(&H264Encoder::new(), DEFAULT_SEED),
-            build(&FftApp::new(), DEFAULT_SEED + 1),
-            build(&CipherApp::new(), DEFAULT_SEED + 2),
-            build(&H264Encoder::new(), DEFAULT_SEED + 3),
+            Testbed::new("h264", DEFAULT_SEED),
+            Testbed::new("fft", DEFAULT_SEED + 1),
+            Testbed::new("cipher", DEFAULT_SEED + 2),
+            Testbed::new("h264", DEFAULT_SEED + 3),
         ]
     };
     let counts: Vec<usize> = (1..=mix.len()).collect();
@@ -105,7 +79,7 @@ fn main() {
             let (_, policy, arbiter) = CONFIGS[c];
             let specs: Vec<TenantSpec<'_>> = mix[..n]
                 .iter()
-                .map(|a| TenantSpec::new(a.name.clone(), &a.catalog, &a.trace))
+                .map(|a| TenantSpec::new(a.name(), &a.catalog, &a.trace))
                 .collect();
             let cfg = MultitaskConfig {
                 policy: policy.into(),

@@ -29,15 +29,11 @@
 //! parallel but assembled and printed serially in input order.
 
 use mrts_arch::{ArchParams, Cycles, Resources};
-use mrts_bench::{par, print_header, DEFAULT_SEED};
-use mrts_ise::IseCatalog;
+use mrts_bench::{par, print_header, Testbed, DEFAULT_SEED};
 use mrts_multitask::{
     run_multitask, ArbiterPolicy, Criticality, MultitaskConfig, SchedulerKind, Slo, TenantSpec,
 };
 use mrts_sim::MultitaskStats;
-use mrts_workload::apps::{CipherApp, FftApp};
-use mrts_workload::h264::H264Encoder;
-use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// The contenders: scheduler × ladder.
 const CONFIGS: [(&str, SchedulerKind, bool); 3] = [
@@ -53,28 +49,6 @@ const CONFIGS: [(&str, SchedulerKind, bool); 3] = [
 const FACTORS: [u64; 5] = [105, 110, 125, 150, 175];
 const FACTORS_QUICK: [u64; 2] = [110, 150];
 
-/// One tenant's prebuilt workload.
-struct App {
-    name: String,
-    catalog: IseCatalog,
-    trace: Trace,
-}
-
-fn build(model: &dyn WorkloadModel, seed: u64) -> App {
-    let catalog = model
-        .application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("catalog construction");
-    let trace = TraceBuilder::new(model)
-        .video(VideoModel::paper_default(seed))
-        .build();
-    App {
-        name: model.application().name().to_owned(),
-        catalog,
-        trace,
-    }
-}
-
 fn config(sched: SchedulerKind, degrade: bool) -> MultitaskConfig {
     MultitaskConfig {
         policy: "mrts".into(),
@@ -88,12 +62,17 @@ fn config(sched: SchedulerKind, degrade: bool) -> MultitaskConfig {
     }
 }
 
-fn run(mix: &[App], combo: Resources, slo: Option<Slo>, cfg: &MultitaskConfig) -> MultitaskStats {
+fn run(
+    mix: &[Testbed],
+    combo: Resources,
+    slo: Option<Slo>,
+    cfg: &MultitaskConfig,
+) -> MultitaskStats {
     let specs: Vec<TenantSpec<'_>> = mix
         .iter()
         .enumerate()
         .map(|(i, a)| {
-            let spec = TenantSpec::new(a.name.clone(), &a.catalog, &a.trace);
+            let spec = TenantSpec::new(a.name(), &a.catalog, &a.trace);
             match (i, slo) {
                 (0, Some(slo)) => spec.with_slo(slo),
                 _ => spec,
@@ -120,10 +99,10 @@ fn main() {
     // Tenant 0 is the deadline-constrained, fabric-hungry one; the other
     // two are best-effort ladder victims. `--quick` keeps the same mix
     // (the sim is integer-fast) and only trims the factor list.
-    let mix: Vec<App> = vec![
-        build(&H264Encoder::new(), DEFAULT_SEED),
-        build(&FftApp::new(), DEFAULT_SEED + 1),
-        build(&CipherApp::new(), DEFAULT_SEED + 2),
+    let mix: Vec<Testbed> = vec![
+        Testbed::new("h264", DEFAULT_SEED),
+        Testbed::new("fft", DEFAULT_SEED + 1),
+        Testbed::new("cipher", DEFAULT_SEED + 2),
     ];
     let factors: &[u64] = if quick { &FACTORS_QUICK } else { &FACTORS };
 
@@ -142,7 +121,7 @@ fn main() {
     println!(
         "machine: {combo}; rt = {} ({} blocks, {:.3} Mcycles/block at its \
          static share){}",
-        mix[0].name,
+        mix[0].name(),
         blocks,
         base as f64 / 1e6,
         if quick { " [--quick]" } else { "" }

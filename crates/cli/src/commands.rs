@@ -5,7 +5,7 @@ use mrts_arch::{ArchParams, Cycles, FabricKind, FaultModel, Machine, Resources};
 use mrts_baselines::{make_policy_tuned, PolicyTuning, ProfiledTotals};
 use mrts_fleet::{
     poisson_arrivals, records_from_jsonl, records_to_jsonl, run_fleet, AppRegistry, FleetConfig,
-    FleetOutcome, Placement, PoissonConfig, SessionRecord,
+    Placement, PoissonConfig, SessionRecord,
 };
 use mrts_ise::{Ise, IseCatalog};
 use mrts_multitask::{
@@ -13,8 +13,8 @@ use mrts_multitask::{
     MultitaskConfig, SchedulerKind, TenantSpec,
 };
 use mrts_sim::{
-    events_to_jsonl, ExecClass, MultitaskStats, RecoveryConfig, RiscOnlyPolicy, RunStats,
-    RuntimePolicy, Simulator, VecSink,
+    events_to_jsonl, ExecClass, RecoveryConfig, RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator,
+    VecSink,
 };
 use mrts_workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
@@ -122,45 +122,6 @@ pub fn catalog(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// One full simulation pass, optionally recording the event spine.
-///
-/// Returns the run statistics plus — when `record` is set — the entire
-/// event log rendered as deterministic JSONL. Used both for the normal
-/// `simulate` path and for the `--threads` determinism check, which
-/// replays the identical configuration on several OS threads and
-/// insists on byte-identical outputs.
-#[allow(clippy::too_many_arguments)]
-fn simulate_once(
-    catalog: &IseCatalog,
-    trace: &Trace,
-    totals: &ProfiledTotals,
-    combo: Resources,
-    fault: FaultModel,
-    policy_name: &str,
-    recovery: RecoveryConfig,
-    record: bool,
-    tuning: PolicyTuning,
-) -> Result<(RunStats, Option<String>), Box<dyn std::error::Error>> {
-    let machine = Machine::with_fault_model(ArchParams::default(), combo, fault)?;
-    let capacity = machine.capacity();
-    let mut p = policy(policy_name, catalog, capacity, totals, tuning)?;
-    let mut sim = Simulator::new(catalog, machine).with_recovery(recovery);
-    let sink = if record {
-        let sink = VecSink::new();
-        sim.attach_events(0, Box::new(sink.clone()));
-        Some(sink)
-    } else {
-        None
-    };
-    let stats = sim.run_trace(trace, p.as_mut());
-    sim.finish_events();
-    let jsonl = match sink {
-        Some(s) => Some(events_to_jsonl(&s.take())?),
-        None => None,
-    };
-    Ok((stats, jsonl))
-}
-
 /// `mrts-cli simulate` — one app, one machine, one policy.
 pub fn simulate(args: &Args) -> CliResult {
     args.expect_only(&[
@@ -173,7 +134,6 @@ pub fn simulate(args: &Args) -> CliResult {
         "fault-seed",
         "retry-budget",
         "events-out",
-        "threads",
         "mpu-alpha",
     ])?;
     let (_, catalog, trace) = build(args)?;
@@ -189,69 +149,25 @@ pub fn simulate(args: &Args) -> CliResult {
     };
     let policy_name = args.get_or("policy", "mrts");
     let tuning = tuning_from_args(args)?;
-    let events_out = args.get("events-out");
-    let threads: usize = args.get_num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    let record = events_out.is_some() || threads > 1;
+    let totals = ProfiledTotals::from_trace(&trace);
 
-    let (stats, jsonl) = if threads > 1 {
-        // Replay the identical configuration on `threads` OS threads and
-        // demand byte-identical statistics and event logs. The simulator
-        // is deterministic by construction; this is the executable proof.
-        let runs: Vec<(RunStats, Option<String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        simulate_once(
-                            &catalog,
-                            &trace,
-                            &ProfiledTotals::from_trace(&trace),
-                            combo,
-                            FaultModel::new(fault_rate, fault_seed),
-                            policy_name,
-                            recovery,
-                            record,
-                            tuning,
-                        )
-                        .map_err(|e| e.to_string())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation thread panicked"))
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
-        let first_stats = serde_json::to_string(&runs[0].0)?;
-        for (i, (stats, jsonl)) in runs.iter().enumerate().skip(1) {
-            if serde_json::to_string(stats)? != first_stats || *jsonl != runs[0].1 {
-                return Err(
-                    format!("determinism violation: thread {i} diverged from thread 0").into(),
-                );
-            }
-        }
-        println!("determinism: {threads} threads, byte-identical stats and event logs");
-        let mut runs = runs;
-        runs.swap_remove(0)
-    } else {
-        let totals = ProfiledTotals::from_trace(&trace);
-        simulate_once(
-            &catalog,
-            &trace,
-            &totals,
-            combo,
-            FaultModel::new(fault_rate, fault_seed),
-            policy_name,
-            recovery,
-            record,
-            tuning,
-        )?
-    };
-    if let (Some(path), Some(log)) = (events_out, &jsonl) {
-        std::fs::write(path, log)?;
+    let machine = Machine::with_fault_model(
+        ArchParams::default(),
+        combo,
+        FaultModel::new(fault_rate, fault_seed),
+    )?;
+    let mut p = policy(policy_name, &catalog, machine.capacity(), &totals, tuning)?;
+    let mut sim = Simulator::new(&catalog, machine).with_recovery(recovery);
+    let events_out = args.get("events-out");
+    let sink = VecSink::new();
+    if events_out.is_some() {
+        sim.attach_events(0, Box::new(sink.clone()));
+    }
+    let stats = sim.run_trace(&trace, p.as_mut());
+    sim.finish_events();
+    if let Some(path) = events_out {
+        let log = events_to_jsonl(&sink.take())?;
+        std::fs::write(path, &log)?;
         println!(
             "events   : wrote {} events ({} bytes) to {path}",
             log.lines().count(),
@@ -375,7 +291,6 @@ pub fn multitask(args: &Args) -> CliResult {
         "fault-rate",
         "fault-seed",
         "events-out",
-        "threads",
         "mpu-alpha",
     ])?;
     // The shared flag-triple parser (also the fleet's session-trace
@@ -396,13 +311,6 @@ pub fn multitask(args: &Args) -> CliResult {
         "off" => false,
         other => return Err(format!("unknown --degrade '{other}' (on|off)").into()),
     };
-    let threads: usize = args.get_num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    let events_out = args.get("events-out");
-    let record = events_out.is_some() || threads > 1;
-
     // Tenant workloads are built first so the specs can borrow them.
     let mut built: Vec<(String, IseCatalog, Trace)> = Vec::new();
     for (i, req) in requests.iter().enumerate() {
@@ -427,78 +335,43 @@ pub fn multitask(args: &Args) -> CliResult {
     };
     let budget = Resources::new(args.get_num("cg", 2)?, args.get_num("prc", 2)?);
 
-    // One full multi-tenant pass; rebuilt per replay thread so each run is
-    // completely independent state.
-    let run_once = |record: bool| -> Result<(MultitaskStats, Option<String>), String> {
-        let specs: Vec<TenantSpec<'_>> = built
-            .iter()
-            .zip(&requests)
-            .enumerate()
-            .map(|(i, ((name, catalog, trace), req))| {
-                let mut spec =
-                    TenantSpec::new(name.clone(), catalog, trace).with_weight(req.weight);
-                if fault_rate > 0.0 {
-                    spec = spec.with_fault_model(FaultModel::new(
-                        fault_rate,
-                        fault_seed.wrapping_add(i as u64),
-                    ));
-                }
-                if let Some(slo) = req.slo {
-                    spec = spec.with_slo(slo);
-                }
-                spec
-            })
-            .collect();
-        if record {
+    let specs: Vec<TenantSpec<'_>> = built
+        .iter()
+        .zip(&requests)
+        .enumerate()
+        .map(|(i, ((name, catalog, trace), req))| {
+            let mut spec = TenantSpec::new(name.clone(), catalog, trace).with_weight(req.weight);
+            if fault_rate > 0.0 {
+                spec = spec.with_fault_model(FaultModel::new(
+                    fault_rate,
+                    fault_seed.wrapping_add(i as u64),
+                ));
+            }
+            if let Some(slo) = req.slo {
+                spec = spec.with_slo(slo);
+            }
+            spec
+        })
+        .collect();
+    let stats = match args.get("events-out") {
+        Some(path) => {
             let mut sink = VecSink::new();
             let stats =
                 run_multitask_with_events(ArchParams::default(), budget, &specs, &cfg, &mut sink)
                     .map_err(|e| e.to_string())?;
-            let log = events_to_jsonl(&sink.take()).map_err(|e| e.to_string())?;
-            Ok((stats, Some(log)))
-        } else {
-            run_multitask(ArchParams::default(), budget, &specs, &cfg)
-                .map(|stats| (stats, None))
-                .map_err(|e| e.to_string())
+            let log = events_to_jsonl(&sink.take())?;
+            std::fs::write(path, &log)?;
+            println!(
+                "events: wrote {} events ({} bytes) to {path}",
+                log.lines().count(),
+                log.len()
+            );
+            stats
+        }
+        None => {
+            run_multitask(ArchParams::default(), budget, &specs, &cfg).map_err(|e| e.to_string())?
         }
     };
-
-    let (stats, jsonl) = if threads > 1 {
-        // Replay the identical configuration on `threads` OS threads and
-        // demand byte-identical statistics and event logs.
-        let run_once = &run_once;
-        let runs: Vec<(MultitaskStats, Option<String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(move || run_once(record)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("multitask thread panicked"))
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
-        let first_stats = serde_json::to_string(&runs[0].0)?;
-        for (i, (stats, jsonl)) in runs.iter().enumerate().skip(1) {
-            if serde_json::to_string(stats)? != first_stats || *jsonl != runs[0].1 {
-                return Err(
-                    format!("determinism violation: thread {i} diverged from thread 0").into(),
-                );
-            }
-        }
-        println!("determinism: {threads} threads, byte-identical stats and event logs");
-        let mut runs = runs;
-        runs.swap_remove(0)
-    } else {
-        run_once(record).map_err(|e| -> Box<dyn std::error::Error> { e.into() })?
-    };
-    if let (Some(path), Some(log)) = (events_out, &jsonl) {
-        std::fs::write(path, log)?;
-        println!(
-            "events: wrote {} events ({} bytes) to {path}",
-            log.lines().count(),
-            log.len()
-        );
-    }
     print!("{stats}");
     println!(
         "aggregate speedup {:.3}x vs back-to-back RISC, throughput {:.1} execs/Mcycle",
@@ -550,18 +423,12 @@ pub fn fleet(args: &Args) -> CliResult {
         "arrivals-in",
         "arrivals-out",
         "events-out",
-        "threads",
     ])?;
     let params = ArchParams::default();
     let seed: u64 = args.get_num("seed", 1)?;
     let variants: u64 = args.get_num("variants", 4)?;
     let max_blocks: usize = args.get_num("max-blocks", 40)?;
-    let threads: usize = args.get_num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     let events_out = args.get("events-out");
-    let record = events_out.is_some() || threads > 1;
 
     // The arrival list: replayed from JSONL, or freshly generated from the
     // seeded Poisson process over the --apps/--weights/--slo mix.
@@ -592,9 +459,8 @@ pub fn fleet(args: &Args) -> CliResult {
         );
     }
 
-    // One registry entry per distinct app in the arrival list; the
-    // registry (catalogues, trace variants, session preps) is immutable
-    // shared state, safe to run replay threads against.
+    // One registry entry per distinct app in the arrival list (catalogues,
+    // trace variants, session preps).
     let mut apps: Vec<&str> = Vec::new();
     for r in &records {
         if !apps.contains(&r.app.as_str()) {
@@ -626,58 +492,13 @@ pub fn fleet(args: &Args) -> CliResult {
             .parse::<Placement>()?,
         budget: Resources::new(args.get_num("cg", 8)?, args.get_num("prc", 8)?),
         window: Cycles::new(args.get_num("window", 1_000_000)?),
-        record_events: record,
+        record_events: events_out.is_some(),
     };
 
-    let run_once = |record: bool| -> Result<(FleetOutcome, Option<String>), String> {
-        let cfg = FleetConfig {
-            record_events: record,
-            ..cfg.clone()
-        };
-        let out = run_fleet(&params, &registry, &records, &cfg).map_err(|e| e.to_string())?;
-        let jsonl = if record {
-            Some(events_to_jsonl(&out.events).map_err(|e| e.to_string())?)
-        } else {
-            None
-        };
-        Ok((out, jsonl))
-    };
-
-    let (out, jsonl) = if threads > 1 {
-        // Replay the identical fleet configuration on `threads` OS threads
-        // and demand byte-identical fleet statistics, per-shard statistics
-        // and merged event spines.
-        let run_once = &run_once;
-        let runs: Vec<(FleetOutcome, Option<String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(move || run_once(record)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fleet thread panicked"))
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
-        let first_stats = serde_json::to_string(&runs[0].0.stats)?;
-        let first_shards = serde_json::to_string(&runs[0].0.shards)?;
-        for (i, (out, jsonl)) in runs.iter().enumerate().skip(1) {
-            if serde_json::to_string(&out.stats)? != first_stats
-                || serde_json::to_string(&out.shards)? != first_shards
-                || *jsonl != runs[0].1
-            {
-                return Err(
-                    format!("determinism violation: thread {i} diverged from thread 0").into(),
-                );
-            }
-        }
-        println!("determinism: {threads} threads, byte-identical fleet stats and event spines");
-        let mut runs = runs;
-        runs.swap_remove(0)
-    } else {
-        run_once(record).map_err(|e| -> Box<dyn std::error::Error> { e.into() })?
-    };
-    if let (Some(path), Some(log)) = (events_out, &jsonl) {
-        std::fs::write(path, log)?;
+    let out = run_fleet(&params, &registry, &records, &cfg)?;
+    if let Some(path) = events_out {
+        let log = events_to_jsonl(&out.events)?;
+        std::fs::write(path, &log)?;
         println!(
             "events   : wrote {} events ({} bytes) to {path}",
             log.lines().count(),

@@ -4,17 +4,17 @@
 //! mrts-cli catalog  [--app h264|fft|cipher|toy]
 //! mrts-cli simulate [--app ..] [--cg N] [--prc N] [--policy ..] [--seed N]
 //!                   [--fault-rate P] [--fault-seed N] [--retry-budget N]
-//!                   [--events-out FILE] [--threads N]
+//!                   [--events-out FILE]
 //! mrts-cli sweep    [--app ..] [--policy ..] [--seed N] [--format table|csv]
 //! mrts-cli multitask [--apps a,b,..] [--weights w,w,..] [--slo s,s,..]
 //!                   [--cg N] [--prc N] [--policy ..] [--arbiter ..]
 //!                   [--sched ..] [--admission ..] [--degrade on|off]
-//!                   [--events-out FILE] [--threads N]
+//!                   [--events-out FILE]
 //! mrts-cli fleet    [--apps a,b,..] [--sessions N] [--mean-gap N]
 //!                   [--fabrics N] [--ways N] [--queue-cap N]
 //!                   [--placement ..] [--admission ..] [--arbiter ..]
 //!                   [--arrivals-in FILE] [--arrivals-out FILE]
-//!                   [--events-out FILE] [--threads N]
+//!                   [--events-out FILE]
 //! mrts-cli trace    [--app ..] [--seed N] [--out FILE]
 //! mrts-cli pif      [--app ..] [--kernel NAME] [--max-exec N]
 //! mrts-cli ingest   [--check SPEC] [--dump SPEC] [--lower SPEC]
@@ -56,8 +56,6 @@ SIMULATE/MULTITASK-ONLY FLAGS:
     --fault-rate  per-load/per-execution fault probability (default 0.0)
     --fault-seed  fault-injection seed (default 1)
     --events-out  write the run's event spine as JSONL to FILE
-    --threads     replay the run on N threads and verify byte-identical
-                  stats and event logs (default 1)
 
 SIMULATE-ONLY FLAGS:
     --retry-budget  retries per faulted load on top of the first attempt
@@ -86,7 +84,8 @@ FLEET-ONLY FLAGS:
                    (default 16)
     --placement    least-loaded (default) | rr | crit   shard placement
     --window       fabric-utilization window width in cycles
-                   (default 1000000)
+                   (default 1000000; a run may span at most 2097152
+                   windows per shard)
     --repart-min   dynamic-arbiter repartition threshold in cycles
                    (default 50000)
     --arrivals-in  replay a JSONL arrival trace instead of generating one
@@ -103,12 +102,12 @@ INGEST-ONLY FLAGS:
 EXAMPLES:
     mrts-cli simulate --app h264 --cg 2 --prc 2 --policy mrts
     mrts-cli simulate --app h264 --policy mrts --fault-rate 0.001 --fault-seed 7
-    mrts-cli simulate --app fft --events-out events.jsonl --threads 4
+    mrts-cli simulate --app fft --events-out events.jsonl
     mrts-cli sweep --policy mrts --format csv > sweep.csv
     mrts-cli multitask --apps h264,fft,cipher --weights 2,1,1 --sched wfq
     mrts-cli multitask --apps h264,fft --slo hard:40000000,- --sched edf --admission queue
     mrts-cli fleet --sessions 10000 --fabrics 4 --placement crit --admission queue
-    mrts-cli fleet --sessions 2000 --arrivals-out arr.jsonl --events-out ev.jsonl --threads 4
+    mrts-cli fleet --sessions 2000 --arrivals-out arr.jsonl --events-out ev.jsonl
     mrts-cli pif --kernel deblock --max-exec 10000
     mrts-cli ingest --check manifests/h264.json
     mrts-cli ingest --dump draft.json --out canonical.json

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `mrts-cli` binary: every subcommand is invoked
 //! as a real process and its output / exit status checked.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
@@ -95,66 +96,75 @@ fn pif_prints_the_case_study_table() {
     assert!(text.contains("MG"));
 }
 
+/// Runs `args` with `--events-out PATH` appended and returns the log.
+fn event_log(args: &[&str], path: &Path) -> String {
+    let mut args = args.to_vec();
+    args.extend(["--events-out", path.to_str().expect("utf8 path")]);
+    let out = run(&args);
+    assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+    let log = std::fs::read_to_string(path).expect("event log written");
+    let _ = std::fs::remove_file(path);
+    assert!(!log.is_empty(), "{args:?}: empty event log");
+    log
+}
+
+/// Every event-spine command replays byte-identically in a second
+/// process: one app, two tenants, an EDF/SLO mix under overload, and a
+/// fleet whose generated arrival list is replayed from JSONL.
 #[test]
-fn simulate_event_logs_are_deterministic_across_runs_and_threads() {
-    let dir = std::env::temp_dir().join("mrts_cli_test");
+fn event_spines_are_byte_identical_across_processes() {
+    let dir = std::env::temp_dir().join(format!("mrts_cli_spines_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let a = dir.join("events_a.jsonl");
-    let b = dir.join("events_b.jsonl");
-    let base = ["simulate", "--app", "toy", "--cg", "1", "--prc", "1"];
-    let mut run_a: Vec<&str> = base.to_vec();
-    run_a.extend(["--events-out", a.to_str().expect("utf8 path")]);
-    let mut run_b: Vec<&str> = base.to_vec();
-    run_b.extend([
-        "--events-out",
-        b.to_str().expect("utf8 path"),
-        "--threads",
-        "4",
-    ]);
-    let out_a = run(&run_a);
-    let out_b = run(&run_b);
-    assert!(out_a.status.success(), "{}", stderr(&out_a));
-    assert!(out_b.status.success(), "{}", stderr(&out_b));
-    assert!(stdout(&out_b).contains("byte-identical"));
-    let log_a = std::fs::read_to_string(&a).expect("log a written");
-    let log_b = std::fs::read_to_string(&b).expect("log b written");
-    assert!(!log_a.is_empty());
-    assert_eq!(log_a, log_b, "event logs must not depend on thread count");
-    for line in log_a.lines() {
+    let (a, b) = (dir.join("a.jsonl"), dir.join("b.jsonl"));
+    let twice = |args: &[&str]| -> String {
+        let log = event_log(args, &a);
+        assert_eq!(log, event_log(args, &b), "{args:?}: event logs differ");
+        log
+    };
+
+    let solo = twice(&["simulate", "--app", "fft"]);
+    for line in solo.lines() {
         assert!(
             line.starts_with(r#"{"tenant":0,"event":{"#) && line.ends_with("}}"),
             "malformed JSONL line: {line}"
         );
     }
-    let _ = std::fs::remove_file(a);
-    let _ = std::fs::remove_file(b);
-}
-
-#[test]
-fn multitask_event_logs_are_deterministic() {
-    let dir = std::env::temp_dir().join("mrts_cli_test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let a = dir.join("mt_events_a.jsonl");
-    let b = dir.join("mt_events_b.jsonl");
-    for path in [&a, &b] {
-        let out = run(&[
-            "multitask",
-            "--apps",
-            "toy,toy",
-            "--events-out",
-            path.to_str().expect("utf8 path"),
-        ]);
-        assert!(out.status.success(), "{}", stderr(&out));
-    }
-    let log_a = std::fs::read_to_string(&a).expect("log a written");
-    let log_b = std::fs::read_to_string(&b).expect("log b written");
-    assert_eq!(log_a, log_b, "multitask event logs must be reproducible");
+    let duo = twice(&["multitask", "--apps", "fft,cipher"]);
+    assert!(duo.contains("TenantDispatch"), "runner events must appear");
+    let slo = twice(&[
+        "multitask",
+        "--apps",
+        "h264,fft",
+        "--cg",
+        "1",
+        "--prc",
+        "1",
+        "--slo",
+        "hard:2500000,-",
+        "--sched",
+        "edf",
+        "--degrade",
+        "on",
+    ]);
     assert!(
-        log_a.contains("TenantDispatch"),
-        "runner events must appear in the log"
+        slo.contains("DeadlineMiss"),
+        "the SLO mix must miss deadlines"
     );
-    let _ = std::fs::remove_file(a);
-    let _ = std::fs::remove_file(b);
+
+    let arrivals = dir.join("arrivals.jsonl");
+    let arrivals = arrivals.to_str().expect("utf8 path");
+    let generated = event_log(
+        &["fleet", "--sessions", "400", "--arrivals-out", arrivals],
+        &a,
+    );
+    let replayed = event_log(
+        &["fleet", "--sessions", "400", "--arrivals-in", arrivals],
+        &b,
+    );
+    assert_eq!(generated, replayed, "replayed fleet spine differs");
+    assert!(generated.contains("SessionAdmitted"));
+    assert!(generated.contains("SessionDeparted"));
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -182,6 +192,8 @@ fn errors_exit_nonzero_with_message() {
         (vec!["sweep", "--format", "xml"], "unknown format"),
         (vec!["catalog", "--typo", "1"], "unknown flag"),
         (vec!["simulate", "--prefetch", "on"], "unknown flag"),
+        (vec!["simulate", "--threads", "4"], "unknown flag --threads"),
+        (vec!["fleet", "--window", "1"], "window: 1 cycles"),
         (
             vec!["fleet", "--arrivals-in", late_s],
             "arrival 0: at 18446744073709551615 is past the arrival horizon",

@@ -113,11 +113,10 @@ pub fn mono_preload_units(
 /// use mrts_arch::{ArchParams, Machine, Resources};
 /// use mrts_core::Mrts;
 /// use mrts_sim::Simulator;
-/// use mrts_workload::h264::H264Encoder;
 /// use mrts_workload::{TraceBuilder, WorkloadModel};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let encoder = H264Encoder::new();
+/// let encoder = mrts_ingest::model("h264")?;
 /// let catalog = encoder.application().build_catalog(ArchParams::default(), None)?;
 /// let trace = TraceBuilder::new(&encoder).build();
 /// let machine = Machine::new(ArchParams::default(), Resources::new(2, 2))?;
@@ -500,7 +499,6 @@ mod tests {
     use super::*;
     use mrts_arch::{ArchParams, Machine};
     use mrts_sim::{ExecClass, RiscOnlyPolicy, Simulator};
-    use mrts_workload::h264::H264Encoder;
     use mrts_workload::synthetic::{synthetic_trace, Pattern, ToyApp};
     use mrts_workload::{TraceBuilder, WorkloadModel};
 
@@ -591,7 +589,7 @@ mod tests {
 
     #[test]
     fn overhead_is_small_fraction_on_h264() {
-        let enc = H264Encoder::new();
+        let enc = mrts_ingest::model("h264").unwrap();
         let catalog = enc
             .application()
             .build_catalog(ArchParams::default(), None)

@@ -84,10 +84,31 @@ impl Default for FleetConfig {
 /// keeps each shard's vector near 8 MB.
 pub const ARRIVAL_HORIZON: Cycles = Cycles::new(1_000_000_000_000);
 
+/// Most fabric-utilization windows one shard may report (16 MB of
+/// counters). Twice what the default 1 Mcycle window needs to cover
+/// [`ARRIVAL_HORIZON`]; a run whose makespan needs more windows fails with
+/// [`FleetError::Config`] instead of allocating them.
+pub const MAX_WINDOWS: u64 = 1 << 21;
+
+/// The utilization window holding cycle `t`, or a config error once that
+/// index reaches [`MAX_WINDOWS`].
+fn window_index(t: Cycles, window: u64) -> Result<usize, FleetError> {
+    let w = t.get() / window;
+    if w >= MAX_WINDOWS {
+        return Err(FleetError::Config(format!(
+            "window: {window} cycles needs more than {MAX_WINDOWS} utilization windows \
+             per shard by cycle {}; use a wider window",
+            t.get()
+        )));
+    }
+    Ok(w as usize)
+}
+
 /// Errors of [`run_fleet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
-    /// `fabrics` or `ways` was zero.
+    /// `fabrics` or `ways` was zero, or `window` was too narrow for the
+    /// run (see [`MAX_WINDOWS`]).
     Config(String),
     /// The arrival list was not sorted by submission time.
     UnsortedArrivals {
@@ -428,7 +449,7 @@ pub fn run_fleet(
     // One global spine: stable by-time merge keeps each shard's (already
     // ordered) stream internally ordered on ties.
     events.sort_by_key(|(_, ev)| ev.at());
-    let windows = usize::try_from(makespan.get() / window + 1).unwrap_or(usize::MAX);
+    let windows = window_index(makespan, window)? + 1;
     for w in &mut busy_windows {
         w.resize(windows, 0);
     }
@@ -630,7 +651,7 @@ fn step_shard<'a>(
     // reporting granularity, not a scheduling one.
     let span = t1.get() - t0.get();
     if span > 0 {
-        let w = usize::try_from(t0.get() / window).unwrap_or(usize::MAX);
+        let w = window_index(t0, window)?;
         if shard.busy_windows.len() <= w {
             shard.busy_windows.resize(w + 1, 0);
         }
@@ -838,6 +859,13 @@ mod tests {
             run_fleet(&params, &registry, &late, &FleetConfig::default()),
             Err(FleetError::BadRecord { index: 1, .. })
         ));
+        // A one-cycle window would need a counter per simulated cycle.
+        let cfg = FleetConfig {
+            window: Cycles::new(1),
+            ..FleetConfig::default()
+        };
+        let err = run_fleet(&params, &registry, &toy_records(8, 1_000_000, 1), &cfg).unwrap_err();
+        assert!(err.to_string().contains("window: 1 cycles"), "{err}");
     }
 
     #[test]

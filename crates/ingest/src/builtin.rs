@@ -2,10 +2,9 @@
 //!
 //! The checked-in `manifests/*.json` files *are* the builtin apps: each is
 //! embedded at compile time and parsed on demand, so every builtin has one
-//! definition. The hand-built constructors in `mrts-workload` (`h264`,
-//! `fft`, `cipher`, `toy`) are test oracles only — `tests/ingest_goldens.rs`
-//! pins that the embedded manifests reproduce their catalogues, traces and
-//! `RunStats` byte for byte. Two families have no hand-built twin:
+//! definition. `tests/app_goldens.rs` pins h264, fft and cipher against
+//! frozen catalogues, traces and `RunStats`; `toy` is compared live with
+//! the `mrts-workload` synthetic app. The two domains beyond the paper:
 //!
 //! * `cv` — a stereo/optical-flow pipeline (census transform, cost
 //!   aggregation, winner-take-all, gradients, flow update, warp). Stereo

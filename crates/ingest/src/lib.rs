@@ -1,8 +1,7 @@
 //! # mrts-ingest — the workload-ingestion compiler pipeline
 //!
-//! Every scenario the runtime is evaluated on used to be a hand-built Rust
-//! constructor (`workload::h264::h264_application` and friends). This crate
-//! turns workload construction into a small compiler:
+//! Every scenario the runtime is evaluated on is a JSON manifest. This
+//! crate turns workload construction into a small compiler:
 //!
 //! ```text
 //!   manifest (JSON)          replayed event spine (JSONL, optional)
@@ -21,12 +20,10 @@
 //! ```
 //!
 //! The checked-in manifests under `manifests/` are the builtin apps,
-//! embedded at compile time. The hand-built constructors in
-//! `mrts-workload` stay only as *oracles*: the manifests lower to
-//! byte-identical catalogues, traces and `RunStats` (pinned by the
-//! `ingest_goldens` test), and the CLI/fleet/bench layers all obtain their
-//! applications through [`fn@model`] so the ingested path is the
-//! production path.
+//! embedded at compile time; each has no other definition. The CLI, fleet
+//! and bench layers all obtain their applications through [`fn@model`].
+//! The root `app_goldens` test pins the h264/fft/cipher lowerings against
+//! frozen catalogues, traces and `RunStats`.
 //!
 //! ## Entry points
 //!

@@ -1,9 +1,8 @@
 //! The pipeline back-end: manifest IR → [`Application`] (+ catalogue).
 //!
-//! Lowering is the *shared* path: the hand-built constructors build
-//! `Application`s directly, the manifests build the same structures through
-//! this module, and the goldens in `tests/ingest_goldens.rs` prove the two
-//! meet byte-for-byte. Catalogue derivation itself stays in
+//! Every builtin app reaches the rest of the system through this module;
+//! the goldens in `tests/app_goldens.rs` pin the lowered h264/fft/cipher
+//! applications byte for byte. Catalogue derivation itself stays in
 //! [`Application::build_catalog`] — that *is* the compile-time toolchain
 //! stand-in — so FG/CG/MG variant enumeration has exactly one home.
 
@@ -115,31 +114,22 @@ pub fn lower(manifest: &Manifest) -> Result<Lowered, IngestError> {
 mod tests {
     use super::*;
     use crate::builtin;
-    use mrts_workload::apps::{cipher_application, fft_application};
-    use mrts_workload::h264::h264_application;
     use mrts_workload::synthetic::ToyApp;
     use mrts_workload::WorkloadModel;
 
     #[test]
     fn lowering_reproduces_the_constructor_applications() {
-        // The embedded manifests survive DCE unchanged, lower to exactly the
-        // structure the hand-built constructors assemble, and derive
-        // monotone trade-off curves.
-        let oracles = [
-            ("h264", h264_application()),
-            ("fft", fft_application()),
-            ("cipher", cipher_application()),
-            ("toy", ToyApp::new().application().clone()),
-        ];
-        for (name, oracle) in &oracles {
-            let lowered = lower(&builtin::manifest_for(name).expect("builtin exists"))
-                .expect("builtin lowers");
-            assert_eq!(
-                format!("{:?}", lowered.app),
-                format!("{oracle:?}"),
-                "{name}: lowered application differs from the constructor's"
-            );
-        }
+        // The embedded manifests survive DCE unchanged and derive monotone
+        // trade-off curves; `toy` lowers to exactly the structure its
+        // hand-built constructor assembles (h264/fft/cipher are pinned
+        // against frozen goldens by the root `app_goldens` test).
+        let lowered =
+            lower(&builtin::manifest_for("toy").expect("builtin exists")).expect("builtin lowers");
+        assert_eq!(
+            format!("{:?}", lowered.app),
+            format!("{:?}", ToyApp::new().application()),
+            "toy: lowered application differs from the constructor's"
+        );
         for name in builtin::BUILTIN_APPS {
             let m = builtin::manifest_for(name).expect("builtin exists");
             let lowered = lower(&m).expect("builtin lowers");

@@ -4,9 +4,8 @@
 //! ingestion: its `Application` comes from the lowering, its execution
 //! frequencies from the manifest's rate rules and its inter-execution gaps
 //! from the per-kernel `gap` fields. Trace construction stays in
-//! [`mrts_workload::TraceBuilder`] — the same lowering the hand-built
-//! models use — so an ingested app's trace is byte-identical to its
-//! constructor twin's whenever the rules mirror the constructor formulas.
+//! [`mrts_workload::TraceBuilder`], shared with every other
+//! [`WorkloadModel`].
 
 use mrts_arch::Cycles;
 use mrts_ise::KernelId;
@@ -65,41 +64,35 @@ impl WorkloadModel for ManifestModel {
 mod tests {
     use super::*;
     use crate::builtin;
-    use mrts_workload::apps::{CipherApp, FftApp};
-    use mrts_workload::h264::H264Encoder;
     use mrts_workload::synthetic::ToyApp;
     use mrts_workload::VideoModel;
 
+    /// `toy` keeps its hand-built twin as the lower crates' synthetic app;
+    /// h264/fft/cipher are pinned against frozen goldens by the root
+    /// `app_goldens` test.
     #[test]
     fn manifest_model_matches_the_constructor_frame_for_frame() {
-        let oracles: [(&str, Box<dyn WorkloadModel>); 4] = [
-            ("h264", Box::new(H264Encoder::new())),
-            ("fft", Box::new(FftApp::new())),
-            ("cipher", Box::new(CipherApp::new())),
-            ("toy", Box::new(ToyApp::new())),
-        ];
-        for (name, oracle) in oracles {
-            let model = ManifestModel::new(&builtin::manifest_for(name).expect("builtin"))
-                .expect("builtin manifest lowers");
-            for seed in 1..=4 {
-                for frame in VideoModel::paper_default(seed).frames() {
-                    assert_eq!(
-                        model.kernel_executions(&frame),
-                        oracle.kernel_executions(&frame),
-                        "{name} seed {seed} frame {}: rate rules must mirror the constructor",
-                        frame.index
-                    );
-                }
-            }
-            let kernels = oracle.application().kernel_count();
-            assert_eq!(model.application().kernel_count(), kernels, "{name}");
-            for k in 0..kernels as u16 {
+        let oracle = ToyApp::new();
+        let model = ManifestModel::new(&builtin::manifest_for("toy").expect("builtin"))
+            .expect("builtin manifest lowers");
+        for seed in 1..=4 {
+            for frame in VideoModel::paper_default(seed).frames() {
                 assert_eq!(
-                    model.kernel_gap(KernelId(k)),
-                    oracle.kernel_gap(KernelId(k)),
-                    "{name}: kernel {k} gap"
+                    model.kernel_executions(&frame),
+                    oracle.kernel_executions(&frame),
+                    "toy seed {seed} frame {}: rate rules must mirror the constructor",
+                    frame.index
                 );
             }
+        }
+        let kernels = oracle.application().kernel_count();
+        assert_eq!(model.application().kernel_count(), kernels);
+        for k in 0..kernels as u16 {
+            assert_eq!(
+                model.kernel_gap(KernelId(k)),
+                oracle.kernel_gap(KernelId(k)),
+                "toy: kernel {k} gap"
+            );
         }
     }
 }

@@ -4,12 +4,13 @@
 //! declared as small arithmetic expressions over the per-frame features of
 //! the synthetic video ([`FrameStats`]). The vocabulary is deliberately
 //! tiny — constants, features, `add`, `mul`, a scene-change selector and
-//! one domain-specific fold over macroblock edges — but it is expressive
-//! enough to state every hand-written model in `mrts-workload`
-//! *bit-exactly*: evaluation follows the expression tree, so an author who
-//! mirrors the constructor's operation order reproduces its `f64` results
-//! (and hence the trace, and hence every downstream `RunStats`) byte for
-//! byte. The goldens in `tests/ingest_goldens.rs` pin exactly that.
+//! one domain-specific fold over macroblock edges — but it was expressive
+//! enough to restate the hand-written H.264/FFT/cipher models the builtin
+//! manifests replaced *bit-exactly*: evaluation follows the expression
+//! tree, so a rule that mirrors a formula's operation order reproduces its
+//! `f64` results (and hence the trace, and hence every downstream
+//! `RunStats`) byte for byte. The goldens in `tests/app_goldens.rs` pin
+//! exactly that.
 //!
 //! Concrete syntax (stored as a JSON string in the manifest):
 //!
@@ -187,7 +188,7 @@ impl RateExpr {
 /// How the evaluated `f64` becomes an execution count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Round {
-    /// `round()` then floor at 1 — the H.264 constructors' convention.
+    /// `round()` then floor at 1 — the H.264 manifest's convention.
     NearestMin1,
     /// Plain `as u64` truncation — the FFT/cipher/toy convention.
     Trunc,

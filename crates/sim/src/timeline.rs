@@ -30,7 +30,7 @@
 //!
 //! The simulation is single-threaded integer arithmetic over seeded models,
 //! so the emitted event sequence is a pure function of the inputs: equal
-//! runs give byte-equal JSONL on every host and at every `--threads` count.
+//! runs give byte-equal JSONL on every host and on every thread.
 //! Emission is *clock-ordered*, not call-ordered: kernels of one block run
 //! on parallel timelines, so the engine hands every event to a pending
 //! min-queue keyed `(timestamp, sequence)` and the queue drains as the

@@ -59,7 +59,7 @@ impl std::error::Error for MergeError {}
 
 /// A complete application: kernel specifications plus the functional-block
 /// structure over them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Application {
     name: String,
     specs: Vec<KernelSpec>,
@@ -276,13 +276,12 @@ pub trait WorkloadModel {
 ///
 /// ```
 /// use mrts_workload::app::MergedWorkload;
-/// use mrts_workload::apps::{CipherApp, FftApp};
+/// use mrts_workload::synthetic::ToyApp;
 /// use mrts_workload::WorkloadModel;
 ///
-/// let fft = FftApp::new();
-/// let cipher = CipherApp::new();
-/// let merged = MergedWorkload::new("radio", vec![&fft, &cipher]);
-/// assert_eq!(merged.application().kernel_count(), 4);
+/// let (a, b) = (ToyApp::new(), ToyApp::new());
+/// let merged = MergedWorkload::new("pair", vec![&a, &b]);
+/// assert_eq!(merged.application().kernel_count(), 2);
 /// assert_eq!(merged.application().blocks().len(), 2);
 /// ```
 pub struct MergedWorkload<'a> {
@@ -377,56 +376,6 @@ mod tests {
             .build_catalog(ArchParams::default(), None)
             .expect("catalog builds");
         assert_eq!(catalog.kernels().len(), 2);
-    }
-
-    #[test]
-    fn merged_applications_interleave_blocks_and_rebase_kernels() {
-        use crate::apps::{CipherApp, FftApp};
-        use crate::h264::H264Encoder;
-
-        let enc = H264Encoder::new();
-        let fft = FftApp::new();
-        let cipher = CipherApp::new();
-        let merged = MergedWorkload::new("soc", vec![&enc, &fft, &cipher]);
-        let app = merged.application();
-        // 11 + 2 + 2 kernels; 3 + 1 + 1 blocks.
-        assert_eq!(app.kernel_count(), 15);
-        assert_eq!(app.blocks().len(), 5);
-        // Round-robin: enc.b0, fft.b0, cipher.b0, enc.b1, enc.b2.
-        let names: Vec<&str> = app.blocks().iter().map(|b| b.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "h264_encoder::motion_intra",
-                "fft_pipeline::fft",
-                "stream_cipher::encrypt",
-                "h264_encoder::transform_encode",
-                "h264_encoder::loop_filter",
-            ]
-        );
-        // Block ids renumbered densely.
-        for (i, b) in app.blocks().iter().enumerate() {
-            assert_eq!(b.id, BlockId(i as u16));
-        }
-        // The fft block's kernels were rebased past the encoder's 11.
-        assert_eq!(app.blocks()[1].kernels, vec![KernelId(11), KernelId(12)]);
-        // Execution counts concatenate component outputs.
-        let frame = &crate::video::VideoModel::paper_default(1).frames()[0];
-        let counts = merged.kernel_executions(frame);
-        assert_eq!(counts.len(), 15);
-        assert_eq!(&counts[..11], &enc.kernel_executions(frame)[..]);
-        assert_eq!(&counts[11..13], &fft.kernel_executions(frame)[..]);
-        // Gaps dispatch to the owning component.
-        assert_eq!(merged.kernel_gap(KernelId(11)), fft.kernel_gap(KernelId(0)));
-        assert_eq!(
-            merged.kernel_gap(KernelId(14)),
-            cipher.kernel_gap(KernelId(1))
-        );
-        // And the merged catalogue builds.
-        let catalog = app
-            .build_catalog(mrts_arch::ArchParams::default(), None)
-            .expect("merged catalog builds");
-        assert_eq!(catalog.kernels().len(), 15);
     }
 
     #[test]

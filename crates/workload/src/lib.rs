@@ -3,34 +3,32 @@
 //! The paper evaluates mRTS on a complete H.264 video encoder because it
 //! *"is a complex application and exhibits various compute-intensive
 //! kernels with both control- and data-flow dominant processing"*. This
-//! crate provides:
+//! crate provides the substrate such applications are built on:
 //!
 //! * [`video`] — a synthetic, seeded video model standing in for the real
 //!   sequences (scene structure, per-macroblock features),
 //! * [`app`] — the application/functional-block structure and the
 //!   [`app::WorkloadModel`] trait,
-//! * [`h264`] — the encoder-shaped application of the evaluation: three
-//!   functional blocks, eleven kernels, the Section 2 deblocking-filter
-//!   case study included,
-//! * [`apps`] — a data-dominant FFT pipeline and a control-dominant stream
-//!   cipher for generality checks,
 //! * [`trace`] — block-activation traces with compile-time forecasts vs.
 //!   input-dependent actual behaviour, and
-//! * [`synthetic`] — step/ramp/burst patterns for targeted tests.
+//! * [`synthetic`] — step/ramp/burst patterns and the one-kernel
+//!   [`synthetic::ToyApp`] for targeted tests.
+//!
+//! The applications themselves — the H.264 encoder of the evaluation, an
+//! FFT pipeline, a stream cipher and more — are JSON manifests under
+//! `manifests/`, lowered to [`WorkloadModel`]s by `mrts-ingest`.
 //!
 //! ## Example
 //!
 //! ```
-//! use mrts_workload::h264::H264Encoder;
+//! use mrts_workload::synthetic::ToyApp;
 //! use mrts_workload::trace::TraceBuilder;
 //! use mrts_workload::video::VideoModel;
-//! use mrts_workload::app::WorkloadModel;
 //!
-//! let encoder = H264Encoder::new();
-//! let trace = TraceBuilder::new(&encoder)
+//! let trace = TraceBuilder::new(&ToyApp::new())
 //!     .video(VideoModel::paper_default(42))
 //!     .build();
-//! assert_eq!(trace.len(), 48); // 16 frames x 3 functional blocks
+//! assert_eq!(trace.len(), 16); // 16 frames x 1 functional block
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,8 +36,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod app;
-pub mod apps;
-pub mod h264;
 pub mod synthetic;
 pub mod trace;
 pub mod video;

@@ -124,15 +124,15 @@ impl Trace {
 /// # Example
 ///
 /// ```
-/// use mrts_workload::h264::H264Encoder;
+/// use mrts_workload::synthetic::ToyApp;
 /// use mrts_workload::trace::TraceBuilder;
 /// use mrts_workload::video::VideoModel;
 ///
-/// let trace = TraceBuilder::new(&H264Encoder::new())
+/// let trace = TraceBuilder::new(&ToyApp::new())
 ///     .video(VideoModel::paper_default(1))
 ///     .build();
-/// // 16 frames x 3 functional blocks.
-/// assert_eq!(trace.len(), 48);
+/// // 16 frames x 1 functional block.
+/// assert_eq!(trace.len(), 16);
 /// ```
 #[derive(Debug)]
 pub struct TraceBuilder<'m, M: WorkloadModel + ?Sized> {
@@ -212,44 +212,46 @@ impl<'m, M: WorkloadModel + ?Sized> TraceBuilder<'m, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::h264::{H264Encoder, H264Kernel};
+    use crate::app::MergedWorkload;
+    use crate::synthetic::ToyApp;
+
+    const TOY: KernelId = KernelId(0);
 
     fn trace() -> Trace {
-        TraceBuilder::new(&H264Encoder::new())
+        TraceBuilder::new(&ToyApp::new())
             .video(VideoModel::paper_default(1))
             .build()
     }
 
     #[test]
     fn structure_is_frames_times_blocks() {
-        let t = trace();
-        assert_eq!(t.len(), 16 * 3);
+        let (a, b) = (ToyApp::new(), ToyApp::new());
+        let pair = MergedWorkload::new("pair", vec![&a, &b]);
+        let t = TraceBuilder::new(&pair)
+            .video(VideoModel::paper_default(1))
+            .build();
+        assert_eq!(t.len(), 16 * 2);
         assert_eq!(t.activations()[0].block, BlockId(0));
         assert_eq!(t.activations()[1].block, BlockId(1));
-        assert_eq!(t.activations()[2].block, BlockId(2));
-        assert_eq!(t.activations()[3].frame, 1);
+        assert_eq!(t.activations()[2].block, BlockId(0));
+        assert_eq!(t.activations()[2].frame, 1);
     }
 
     #[test]
     fn forecast_is_static_actual_varies() {
         let t = trace();
-        let deblock = H264Kernel::Deblock.id();
-        let loop_filter_acts: Vec<&BlockActivation> = t
-            .activations()
+        let acts: Vec<&BlockActivation> = t.activations().iter().collect();
+        let forecasts: Vec<u64> = acts
             .iter()
-            .filter(|a| a.block == BlockId(2))
-            .collect();
-        let forecasts: Vec<u64> = loop_filter_acts
-            .iter()
-            .map(|a| a.forecast.trigger_for(deblock).unwrap().expected_executions)
+            .map(|a| a.forecast.trigger_for(TOY).unwrap().expected_executions)
             .collect();
         assert!(
             forecasts.windows(2).all(|w| w[0] == w[1]),
             "compile-time forecast must be identical across activations"
         );
-        let actuals: Vec<u64> = loop_filter_acts
+        let actuals: Vec<u64> = acts
             .iter()
-            .map(|a| a.activity_of(deblock).unwrap().executions)
+            .map(|a| a.activity_of(TOY).unwrap().executions)
             .collect();
         assert!(
             actuals.windows(2).any(|w| w[0] != w[1]),
@@ -260,13 +262,12 @@ mod tests {
     #[test]
     fn forecast_is_profiling_mean() {
         let t = trace();
-        let deblock = H264Kernel::Deblock.id();
         let forecast = t.activations()[2]
             .forecast
-            .trigger_for(deblock)
+            .trigger_for(TOY)
             .unwrap()
             .expected_executions;
-        let mean = t.mean_executions(deblock);
+        let mean = t.mean_executions(TOY);
         assert!(
             (forecast as f64 - mean).abs() <= mean * 0.05 + 1.0,
             "forecast {forecast} should approximate the mean {mean}"
@@ -276,14 +277,13 @@ mod tests {
     #[test]
     fn totals_accumulate() {
         let t = trace();
-        let deblock = H264Kernel::Deblock.id();
         let manual: u64 = t
             .activations()
             .iter()
-            .filter_map(|a| a.activity_of(deblock))
+            .filter_map(|a| a.activity_of(TOY))
             .map(|a| a.executions)
             .sum();
-        assert_eq!(t.total_executions(deblock), manual);
+        assert_eq!(t.total_executions(TOY), manual);
         assert!(manual > 0);
     }
 

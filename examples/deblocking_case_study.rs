@@ -11,16 +11,19 @@
 
 use mrts::arch::{ArchParams, Cycles, FabricKind};
 use mrts::ise::{Grain, Ise};
-use mrts::workload::h264::{H264Encoder, H264Kernel};
 use mrts::workload::{VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let encoder = H264Encoder::new();
+    let encoder = mrts::ingest::model("h264")?;
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)?;
-    let deblock = H264Kernel::Deblock.id();
-    let kernel = catalog.kernel(deblock)?;
+    let kernel = catalog
+        .kernels()
+        .iter()
+        .find(|k| k.name() == "deblock")
+        .ok_or("h264 has no deblock kernel")?;
+    let deblock = kernel.id();
     println!(
         "kernel '{}': RISC-mode latency {} cycles, {} ISE variants",
         kernel.name(),
@@ -81,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("per-frame deblocking executions and the performance-wise best ISE:");
     for frame in VideoModel::paper_default(1).frames() {
-        let e = encoder.deblock_executions(&frame);
+        let e = encoder.kernel_executions(&frame)[usize::from(deblock.index())];
         let (best, _) = ises
             .iter()
             .map(|(n, ise)| {

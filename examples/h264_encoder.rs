@@ -12,7 +12,6 @@ use mrts::baselines::{
 };
 use mrts::core::Mrts;
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prc: u16 = args.next().map_or(Ok(2), |a| a.parse())?;
     let combo = Resources::new(cg, prc);
 
-    let encoder = H264Encoder::new();
+    let encoder = mrts::ingest::model("h264")?;
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)?;

@@ -12,14 +12,12 @@
 use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::sim::{RiscOnlyPolicy, SimEvent, Simulator, VecSink};
-use mrts::workload::apps::{CipherApp, FftApp};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::{MergedWorkload, TraceBuilder, VideoModel, WorkloadModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let encoder = H264Encoder::new();
-    let fft = FftApp::new();
-    let cipher = CipherApp::new();
+    let encoder = mrts::ingest::model("h264")?;
+    let fft = mrts::ingest::model("fft")?;
+    let cipher = mrts::ingest::model("cipher")?;
     let merged = MergedWorkload::new("soc_multitask", vec![&encoder, &fft, &cipher]);
     println!(
         "merged workload: {} kernels in {} interleaved functional blocks",

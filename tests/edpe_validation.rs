@@ -5,15 +5,21 @@
 //! program must agree bit-for-bit with the reference graph evaluator.
 
 use mrts::arch::ArchParams;
+use mrts::ingest::ManifestModel;
 use mrts::ise::mapping::map_to_cg;
 use mrts::sim::edpe::{compile_graph, evaluate_graph, EdpeInterpreter, EdpeState};
-use mrts::workload::h264::h264_application;
+use mrts::workload::WorkloadModel;
+
+fn encoder() -> ManifestModel {
+    mrts::ingest::model("h264").expect("builtin h264 lowers")
+}
 
 #[test]
 fn every_encoder_graph_compiles_and_matches_the_reference() {
     let params = ArchParams::default();
     let interp = EdpeInterpreter::new(params.clone());
-    let app = h264_application();
+    let encoder = encoder();
+    let app = encoder.application();
     let mut validated = 0usize;
     for spec in app.kernel_specs() {
         for dp in spec.data_paths() {
@@ -65,7 +71,8 @@ fn every_encoder_graph_compiles_and_matches_the_reference() {
 #[test]
 fn instruction_counts_match_the_cost_model() {
     let params = ArchParams::default();
-    let app = h264_application();
+    let encoder = encoder();
+    let app = encoder.application();
     for spec in app.kernel_specs() {
         for dp in spec.data_paths() {
             let (program, _) = compile_graph(&dp.graph).expect("compiles");

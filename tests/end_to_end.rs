@@ -7,7 +7,6 @@ use mrts::baselines::{
 };
 use mrts::core::Mrts;
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 struct Bed {
@@ -17,7 +16,7 @@ struct Bed {
 }
 
 fn bed() -> Bed {
-    let encoder = H264Encoder::new();
+    let encoder = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)
@@ -134,7 +133,7 @@ fn runs_are_deterministic() {
     let b = run(&bed, combo, &mut Mrts::new());
     assert_eq!(a, b);
     // And the trace itself regenerates identically.
-    let encoder = H264Encoder::new();
+    let encoder = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let again = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
@@ -153,17 +152,13 @@ fn zero_fabric_machine_degenerates_to_risc_for_all_policies() {
 
 #[test]
 fn other_applications_also_profit() {
-    use mrts::workload::apps::{CipherApp, FftApp};
-    let models: Vec<(&str, Box<dyn WorkloadModel>)> = vec![
-        ("fft", Box::new(FftApp::new())),
-        ("cipher", Box::new(CipherApp::new())),
-    ];
-    for (name, app) in models {
+    for name in ["fft", "cipher"] {
+        let app = mrts::ingest::model(name).expect("builtin app lowers");
         let catalog = app
             .application()
             .build_catalog(ArchParams::default(), None)
             .expect("kernels are mappable");
-        let trace = TraceBuilder::new(app.as_ref())
+        let trace = TraceBuilder::new(&app)
             .video(VideoModel::paper_default(5))
             .build();
         let mk = || Machine::new(ArchParams::default(), Resources::new(1, 1)).expect("valid");

@@ -246,7 +246,7 @@ fn zero_fault_rate_reproduces_fault_free_stats() {
 #[test]
 fn soak_long_video_is_stable_and_monotonic() {
     // 64 frames of alternating scenes through the full encoder pipeline.
-    let encoder = mrts::workload::h264::H264Encoder::new();
+    let encoder = mrts::ingest::model("h264").expect("builtin h264 lowers");
     let catalog = encoder
         .application()
         .build_catalog(ArchParams::default(), None)

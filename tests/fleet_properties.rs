@@ -16,8 +16,11 @@ use mrts::multitask::{
     run_multitask, AdmissionPolicy, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantRequest,
     TenantSpec,
 };
-use mrts::sim::nearest_rank_percentile;
+use mrts::sim::{events_to_jsonl, nearest_rank_percentile};
 use proptest::prelude::*;
+
+mod common;
+use common::assert_replicas_identical;
 
 fn registry(params: &ArchParams, variants: usize, seed: u64) -> AppRegistry {
     AppRegistry::new(params, &["toy"], variants, seed, 40).expect("toy registry builds")
@@ -235,4 +238,27 @@ proptest! {
         prop_assert_eq!(a.events.len(), b.events.len());
         prop_assert_eq!(&a.events, &b.events, "replayed event spine diverges");
     }
+}
+
+#[test]
+fn fleet_replicas_are_byte_identical() {
+    let params = ArchParams::default();
+    let registry = registry(&params, 3, 7);
+    let records = poisson_arrivals(&PoissonConfig {
+        seed: 7,
+        sessions: 80,
+        mean_gap: 50_000,
+        ..PoissonConfig::default()
+    });
+    let cfg = FleetConfig {
+        record_events: true,
+        ..FleetConfig::default()
+    };
+    let (_, log) = assert_replicas_identical(4, || {
+        let out = run_fleet(&params, &registry, &records, &cfg).expect("fleet runs");
+        let stats = serde_json::to_string(&out.stats).expect("serialise")
+            + &serde_json::to_string(&out.shards).expect("serialise");
+        (stats, events_to_jsonl(&out.events).expect("encode"))
+    });
+    assert!(log.contains("SessionAdmitted") && log.contains("SessionDeparted"));
 }

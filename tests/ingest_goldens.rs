@@ -1,21 +1,18 @@
 //! Golden equivalence for the ingestion pipeline: the checked-in
 //! manifests under `manifests/` are the builtin apps, in canonical
-//! serialization, and lowering them reproduces the hand-built constructors
-//! byte for byte — same catalogue, same trace, same simulated statistics.
+//! serialization; the `toy` manifest reproduces its hand-built
+//! `mrts-workload` twin byte for byte (same catalogue, same trace, same
+//! simulated statistics); and the whole H.264 pipeline is pinned by one
+//! busy-cycle fingerprint. (`app_goldens` pins h264, fft and cipher
+//! against frozen oracles.)
 //!
-//! These tests are the refactor's safety net: `mrts-cli`, the fleet
-//! registry and the bench harness all resolve apps through
-//! `mrts-ingest` now, so any drift between the pipeline and the
-//! constructors would silently change every figure. Byte-level
-//! comparison (via `serde_json`) is deliberate — `PartialEq` would
-//! tolerate a re-ordered catalogue, the paper's numbers would not.
+//! Byte-level comparison (via `serde_json`) is deliberate — `PartialEq`
+//! would tolerate a re-ordered catalogue, the paper's numbers would not.
 
 use mrts::arch::{ArchParams, Cycles, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::ingest::{builtin, Manifest};
 use mrts::sim::{RiscOnlyPolicy, RunStats, RuntimePolicy, Simulator};
-use mrts::workload::apps::{CipherApp, FftApp};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::synthetic::ToyApp;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
@@ -81,40 +78,33 @@ fn run(catalog: &mrts::ise::IseCatalog, trace: &Trace, policy: &mut dyn RuntimeP
 
 #[test]
 fn ingested_apps_reproduce_the_constructors_byte_for_byte() {
-    let constructors: [(&str, Box<dyn WorkloadModel>); 4] = [
-        ("h264", Box::new(H264Encoder::new())),
-        ("fft", Box::new(FftApp::new())),
-        ("cipher", Box::new(CipherApp::new())),
-        ("toy", Box::new(ToyApp::new())),
-    ];
-    for (name, model) in constructors {
-        let (c_cat, c_trace) = constructor_artifacts(model.as_ref(), 1);
-        let (i_cat, i_trace) = ingested_artifacts(name, 1);
-        // serde_json rendering pins order and representation, not just
-        // logical equality.
-        assert_eq!(
-            serde_json::to_string(&c_cat).unwrap(),
-            serde_json::to_string(&i_cat).unwrap(),
-            "{name}: ingested catalogue differs from the constructor's"
-        );
-        assert_eq!(
-            serde_json::to_string(&c_trace).unwrap(),
-            serde_json::to_string(&i_trace).unwrap(),
-            "{name}: ingested trace differs from the constructor's"
-        );
-        // And the simulation built on top is identical too, for both a
-        // trivial and the full policy.
-        let c_stats = run(&c_cat, &c_trace, &mut Mrts::new());
-        let i_stats = run(&i_cat, &i_trace, &mut Mrts::new());
-        assert_eq!(
-            serde_json::to_string(&c_stats).unwrap(),
-            serde_json::to_string(&i_stats).unwrap(),
-            "{name}: ingested RunStats differ from the constructor's"
-        );
-        let c_risc = run(&c_cat, &c_trace, &mut RiscOnlyPolicy::new());
-        let i_risc = run(&i_cat, &i_trace, &mut RiscOnlyPolicy::new());
-        assert_eq!(c_risc, i_risc, "{name}: RISC-mode runs differ");
-    }
+    let name = "toy";
+    let (c_cat, c_trace) = constructor_artifacts(&ToyApp::new(), 1);
+    let (i_cat, i_trace) = ingested_artifacts(name, 1);
+    // serde_json rendering pins order and representation, not just
+    // logical equality.
+    assert_eq!(
+        serde_json::to_string(&c_cat).unwrap(),
+        serde_json::to_string(&i_cat).unwrap(),
+        "{name}: ingested catalogue differs from the constructor's"
+    );
+    assert_eq!(
+        serde_json::to_string(&c_trace).unwrap(),
+        serde_json::to_string(&i_trace).unwrap(),
+        "{name}: ingested trace differs from the constructor's"
+    );
+    // And the simulation built on top is identical too, for both a
+    // trivial and the full policy.
+    let c_stats = run(&c_cat, &c_trace, &mut Mrts::new());
+    let i_stats = run(&i_cat, &i_trace, &mut Mrts::new());
+    assert_eq!(
+        serde_json::to_string(&c_stats).unwrap(),
+        serde_json::to_string(&i_stats).unwrap(),
+        "{name}: ingested RunStats differ from the constructor's"
+    );
+    let c_risc = run(&c_cat, &c_trace, &mut RiscOnlyPolicy::new());
+    let i_risc = run(&i_cat, &i_trace, &mut RiscOnlyPolicy::new());
+    assert_eq!(c_risc, i_risc, "{name}: RISC-mode runs differ");
 }
 
 #[test]

@@ -14,17 +14,17 @@ use mrts::baselines::POLICY_NAMES;
 use mrts::ise::IseCatalog;
 use mrts::multitask::{run_multitask, ArbiterPolicy, MultitaskConfig, SchedulerKind, TenantSpec};
 use mrts::sim::{RunStats, Simulator};
-use mrts::workload::apps::{CipherApp, FftApp};
 use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
 /// Builds (name, catalogue, paper-video trace) for a workload model.
-fn testbed(model: &dyn WorkloadModel, seed: u64) -> (String, IseCatalog, Trace) {
+fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
+    let model = mrts::ingest::model(spec).expect("builtin app lowers");
     let catalog = model
         .application()
         .build_catalog(ArchParams::default(), None)
         .expect("kernels are mappable");
-    let trace = TraceBuilder::new(model)
+    let trace = TraceBuilder::new(&model)
         .video(VideoModel::paper_default(seed))
         .build();
     (model.application().name().to_owned(), catalog, trace)
@@ -81,7 +81,7 @@ fn assert_identical(solo: &RunStats, stats: &mrts::sim::MultitaskStats) {
 
 #[test]
 fn one_tenant_equals_solo_for_every_policy() {
-    let (name, catalog, trace) = testbed(&FftApp::new(), 1);
+    let (name, catalog, trace) = testbed("fft", 1);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let reference = solo(&catalog, combo, &trace, policy);
@@ -100,7 +100,7 @@ fn one_tenant_equals_solo_for_every_policy() {
 
 #[test]
 fn one_tenant_equals_solo_across_schedulers_and_arbiters() {
-    let (name, catalog, trace) = testbed(&CipherApp::new(), 3);
+    let (name, catalog, trace) = testbed("cipher", 3);
     let combo = Resources::new(3, 1);
     let reference = solo(&catalog, combo, &trace, "mrts");
     for scheduler in [
@@ -144,7 +144,7 @@ fn one_tenant_equals_solo_on_synthetic_toy_trace() {
 
 #[test]
 fn one_tenant_equals_solo_under_fault_injection() {
-    let (name, catalog, trace) = testbed(&FftApp::new(), 7);
+    let (name, catalog, trace) = testbed("fft", 7);
     let combo = Resources::new(2, 2);
     let fault = FaultModel::new(0.05, 42);
 

@@ -8,21 +8,35 @@ use mrts::baselines::{
     LooselyCoupledPolicy, OfflineOptimalPolicy, OnlineOptimalPolicy, ProfiledTotals,
 };
 use mrts::core::Mrts;
-use mrts::ise::{Grain, Ise, IseCatalog};
+use mrts::ingest::ManifestModel;
+use mrts::ise::{Grain, Ise, IseCatalog, KernelId};
 use mrts::sim::{RiscOnlyPolicy, RuntimePolicy, Simulator};
-use mrts::workload::h264::{H264Encoder, H264Kernel};
 use mrts::workload::{TraceBuilder, VideoModel, WorkloadModel};
 
+fn encoder() -> ManifestModel {
+    mrts::ingest::model("h264").expect("builtin h264 lowers")
+}
+
 fn catalog() -> IseCatalog {
-    H264Encoder::new()
+    encoder()
         .application()
         .build_catalog(ArchParams::default(), None)
         .expect("encoder kernels are mappable")
 }
 
+/// The deblocking filter, the Section 2 case-study kernel.
+fn deblock(catalog: &IseCatalog) -> KernelId {
+    catalog
+        .kernels()
+        .iter()
+        .find(|k| k.name() == "deblock")
+        .expect("h264 has a deblock kernel")
+        .id()
+}
+
 /// The three case-study ISEs of Section 2 (full coverage, single copy).
 fn case_study_ises(catalog: &IseCatalog) -> [&Ise; 3] {
-    let deblock = H264Kernel::Deblock.id();
+    let deblock = deblock(catalog);
     let pick = |grain: Grain| -> &Ise {
         catalog
             .ises_of(deblock)
@@ -91,12 +105,13 @@ fn fig1_regions_appear_in_paper_order() {
 #[test]
 fn fig2_best_ise_changes_across_frames() {
     let catalog = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let ises = case_study_ises(&catalog);
     let recfg: Vec<Cycles> = ises.iter().map(|i| reconfig_latency(i)).collect();
+    let deblock = usize::from(deblock(&catalog).index());
     let mut labels = std::collections::BTreeSet::new();
     for frame in VideoModel::paper_default(1).frames() {
-        let e = encoder.deblock_executions(&frame);
+        let e = encoder.kernel_executions(&frame)[deblock];
         let best = (0..3)
             .max_by(|a, b| {
                 ises[*a]
@@ -127,7 +142,7 @@ fn run(
 #[test]
 fn fig8_orderings_and_applicability() {
     let catalog = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let trace = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
@@ -183,7 +198,7 @@ fn fig8_orderings_and_applicability() {
 #[test]
 fn fig9_heuristic_close_to_optimal_in_improvement_terms() {
     let catalog = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let trace = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
@@ -212,7 +227,7 @@ fn fig9_heuristic_close_to_optimal_in_improvement_terms() {
 #[test]
 fn fig10_speedups_by_grain_group() {
     let catalog = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let trace = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
@@ -241,7 +256,7 @@ fn fig10_speedups_by_grain_group() {
 #[test]
 fn section_5_4_overhead_bounds() {
     let catalog = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let trace = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();
@@ -263,7 +278,7 @@ fn section_5_4_overhead_bounds() {
 #[test]
 fn search_space_exceeds_the_papers_78_million() {
     let catalog = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let biggest = &encoder.application().blocks()[1];
     assert!(biggest.kernels.len() >= 7);
     assert!(catalog.combination_count(&biggest.kernels) > 78_000_000);

@@ -184,9 +184,7 @@ proptest! {
 /// rounds; the lazy path must save evaluations there, not just tie.
 #[test]
 fn lazy_saves_evaluations_on_the_paper_catalog() {
-    let catalog = mrts::workload::h264::h264_application()
-        .build_catalog(ArchParams::default(), None)
-        .expect("encoder kernels are mappable");
+    let catalog = mrts_bench::Testbed::new("h264", 1).catalog;
     let forecast = forecast_for(&catalog, 4_000, 1_000, 300);
     let rc = ReconfigurationController::new();
     let none = |_: UnitId| false;
@@ -227,7 +225,7 @@ fn lazy_saves_evaluations_on_the_paper_catalog() {
 fn parallel_figure_cells_are_byte_identical_across_thread_counts() {
     use mrts_bench::{par, Testbed, DEFAULT_SEED};
 
-    let tb = Testbed::new(DEFAULT_SEED);
+    let tb = Testbed::new("h264", DEFAULT_SEED);
     let combos = [
         Resources::new(0, 1),
         Resources::new(1, 0),

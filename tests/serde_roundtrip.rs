@@ -7,11 +7,14 @@ use mrts::arch::{ArchParams, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::ise::IseCatalog;
 use mrts::sim::{RunStats, Simulator};
-use mrts::workload::h264::H264Encoder;
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 
+fn encoder() -> mrts::ingest::ManifestModel {
+    mrts::ingest::model("h264").expect("builtin h264 lowers")
+}
+
 fn catalog() -> IseCatalog {
-    H264Encoder::new()
+    encoder()
         .application()
         .build_catalog(ArchParams::default(), None)
         .expect("encoder kernels are mappable")
@@ -27,7 +30,7 @@ fn catalog_round_trips_through_json() {
 
 #[test]
 fn trace_round_trips_through_json() {
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let t = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(3))
         .build();
@@ -47,7 +50,7 @@ fn machine_round_trips_through_json() {
 #[test]
 fn run_stats_round_trip_through_json() {
     let c = catalog();
-    let encoder = H264Encoder::new();
+    let encoder = encoder();
     let t = TraceBuilder::new(&encoder)
         .video(VideoModel::paper_default(1))
         .build();

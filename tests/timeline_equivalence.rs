@@ -20,44 +20,23 @@
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts::baselines::{make_policy, ProfiledTotals, POLICY_NAMES};
 use mrts::ise::IseCatalog;
-use mrts::multitask::{run_multitask, run_multitask_with_events, MultitaskConfig, TenantSpec};
-use mrts::sim::{MultitaskStats, RunStats, SimEvent, Simulator, VecSink};
-use mrts::workload::apps::{CipherApp, FftApp};
+use mrts::multitask::{
+    run_multitask, run_multitask_with_events, MultitaskConfig, SchedulerKind, Slo, TenantSpec,
+};
+use mrts::sim::{events_to_jsonl, MultitaskStats, RunStats, SimEvent, Simulator, VecSink};
 use mrts::workload::{Trace, TraceBuilder, VideoModel, WorkloadModel};
 use std::collections::HashMap;
-use std::path::PathBuf;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join("timeline")
-}
+mod common;
+use common::{assert_replicas_identical, check_golden};
 
-/// Compares `json` against the committed golden `name`, or rewrites the
-/// golden when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, json: &str) {
-    let path = golden_dir().join(format!("{name}.json"));
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-        std::fs::write(&path, json).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        json,
-        expected.as_str(),
-        "stats diverged from pre-refactor golden {name}"
-    );
-}
-
-fn testbed(model: &dyn WorkloadModel, seed: u64) -> (String, IseCatalog, Trace) {
+fn testbed(spec: &str, seed: u64) -> (String, IseCatalog, Trace) {
+    let model = mrts::ingest::model(spec).expect("builtin app lowers");
     let catalog = model
         .application()
         .build_catalog(ArchParams::default(), None)
         .expect("kernels are mappable");
-    let trace = TraceBuilder::new(model)
+    let trace = TraceBuilder::new(&model)
         .video(VideoModel::paper_default(seed))
         .build();
     (model.application().name().to_owned(), catalog, trace)
@@ -84,8 +63,8 @@ fn solo(
 
 /// One two-tenant run (FFT + cipher) under the default config.
 fn duo(policy: &str, fault: bool) -> MultitaskStats {
-    let (name_a, cat_a, trace_a) = testbed(&FftApp::new(), 1);
-    let (name_b, cat_b, trace_b) = testbed(&CipherApp::new(), 2);
+    let (name_a, cat_a, trace_a) = testbed("fft", 1);
+    let (name_b, cat_b, trace_b) = testbed("cipher", 2);
     let mut spec_a = TenantSpec::new(name_a, &cat_a, &trace_a);
     let mut spec_b = TenantSpec::new(name_b, &cat_b, &trace_b).with_weight(2);
     if fault {
@@ -107,18 +86,18 @@ fn duo(policy: &str, fault: bool) -> MultitaskStats {
 
 #[test]
 fn solo_runstats_match_pre_refactor_goldens() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 1);
+    let (_, catalog, trace) = testbed("fft", 1);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let stats = solo(&catalog, combo, &trace, policy, None);
         let json = serde_json::to_string(&stats).expect("serialise RunStats");
-        check_golden(&format!("solo_{policy}"), &json);
+        check_golden("timeline", &format!("solo_{policy}"), &json);
     }
 }
 
 #[test]
 fn solo_faulted_runstats_match_pre_refactor_goldens() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 7);
+    let (_, catalog, trace) = testbed("fft", 7);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let stats = solo(
@@ -133,7 +112,7 @@ fn solo_faulted_runstats_match_pre_refactor_goldens() {
             "fault model never fired for {policy}; golden degenerates to fault-free"
         );
         let json = serde_json::to_string(&stats).expect("serialise RunStats");
-        check_golden(&format!("solo_fault_{policy}"), &json);
+        check_golden("timeline", &format!("solo_fault_{policy}"), &json);
     }
 }
 
@@ -142,7 +121,7 @@ fn multitask_stats_match_pre_refactor_goldens() {
     for policy in ["mrts", "rispp"] {
         let stats = duo(policy, false);
         let json = serde_json::to_string(&stats).expect("serialise MultitaskStats");
-        check_golden(&format!("multi_{policy}"), &json);
+        check_golden("timeline", &format!("multi_{policy}"), &json);
     }
 }
 
@@ -249,7 +228,7 @@ fn assert_spine_invariants(events: &[(u32, SimEvent)]) {
 
 #[test]
 fn attaching_a_sink_never_perturbs_the_run() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 1);
+    let (_, catalog, trace) = testbed("fft", 1);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let bare = solo(&catalog, combo, &trace, policy, None);
@@ -266,7 +245,7 @@ fn attaching_a_sink_never_perturbs_the_run() {
 
 #[test]
 fn solo_event_spine_invariants_hold_under_faults() {
-    let (_, catalog, trace) = testbed(&FftApp::new(), 7);
+    let (_, catalog, trace) = testbed("fft", 7);
     let combo = Resources::new(2, 2);
     for &policy in POLICY_NAMES {
         let fault = Some(FaultModel::new(0.05, 42));
@@ -291,8 +270,8 @@ fn solo_event_spine_invariants_hold_under_faults() {
 
 #[test]
 fn multitask_event_spine_is_per_tenant_monotone() {
-    let (name_a, cat_a, trace_a) = testbed(&FftApp::new(), 1);
-    let (name_b, cat_b, trace_b) = testbed(&CipherApp::new(), 2);
+    let (name_a, cat_a, trace_a) = testbed("fft", 1);
+    let (name_b, cat_b, trace_b) = testbed("cipher", 2);
     let specs = [
         TenantSpec::new(name_a, &cat_a, &trace_a),
         TenantSpec::new(name_b, &cat_b, &trace_b).with_weight(2),
@@ -339,5 +318,55 @@ fn multitask_faulted_stats_match_pre_refactor_goldens() {
         "fault models never fired; golden degenerates to fault-free"
     );
     let json = serde_json::to_string(&stats).expect("serialise MultitaskStats");
-    check_golden("multi_fault_mrts", &json);
+    check_golden("timeline", "multi_fault_mrts", &json);
+}
+
+// ---------------------------------------------------------------------
+// Determinism: concurrent replicas of one run are byte-identical
+// ---------------------------------------------------------------------
+
+#[test]
+fn solo_replicas_are_byte_identical() {
+    let (_, catalog, trace) = testbed("fft", 7);
+    let (_, log) = assert_replicas_identical(4, || {
+        let fault = Some(FaultModel::new(0.05, 42));
+        let (stats, events) =
+            solo_with_events(&catalog, Resources::new(2, 2), &trace, "mrts", fault);
+        (
+            serde_json::to_string(&stats).expect("serialise"),
+            events_to_jsonl(&events).expect("encode"),
+        )
+    });
+    assert!(log.contains("FaultDetected"), "the replicas ran faults");
+}
+
+#[test]
+fn multitask_replicas_are_byte_identical() {
+    let (name_a, cat_a, trace_a) = testbed("h264", 1);
+    let (name_b, cat_b, trace_b) = testbed("fft", 2);
+    let (_, log) = assert_replicas_identical(4, || {
+        let specs = [
+            TenantSpec::new(name_a.clone(), &cat_a, &trace_a)
+                .with_slo("hard:2500000".parse::<Slo>().expect("valid SLO")),
+            TenantSpec::new(name_b.clone(), &cat_b, &trace_b),
+        ];
+        let cfg = MultitaskConfig {
+            scheduler: SchedulerKind::EarliestDeadline,
+            ..MultitaskConfig::default()
+        };
+        let mut sink = VecSink::new();
+        let stats = run_multitask_with_events(
+            ArchParams::default(),
+            Resources::new(1, 1),
+            &specs,
+            &cfg,
+            &mut sink,
+        )
+        .expect("2-tenant run succeeds");
+        (
+            serde_json::to_string(&stats).expect("serialise"),
+            events_to_jsonl(&sink.take()).expect("encode"),
+        )
+    });
+    assert!(log.contains("DeadlineMiss"), "the SLO mix misses deadlines");
 }
