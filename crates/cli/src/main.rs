@@ -89,6 +89,7 @@ FLEET-ONLY FLAGS:
     --repart-min   dynamic-arbiter repartition threshold in cycles
                    (default 50000)
     --arrivals-in  replay a JSONL arrival trace instead of generating one
+                   (each record's variant must be below --variants)
     --arrivals-out write the generated arrival trace as JSONL to FILE
 
 INGEST-ONLY FLAGS:

@@ -170,8 +170,9 @@ fn event_spines_are_byte_identical_across_processes() {
 #[test]
 fn errors_exit_nonzero_with_message() {
     // Hostile input files: an arrival at the end of time (whose dense
-    // utilization windows would need ~147 TB) and JSON nested far deeper
-    // than the parser's recursion limit.
+    // utilization windows would need ~147 TB), one naming a trace variant
+    // its app does not have, and JSON nested far deeper than the parser's
+    // recursion limit.
     let dir = std::env::temp_dir().join("mrts_cli_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let late = dir.join("late_arrival.jsonl");
@@ -180,9 +181,19 @@ fn errors_exit_nonzero_with_message() {
         "{\"at\":18446744073709551615,\"app\":\"fft\",\"weight\":1,\"slo\":\"-\",\"variant\":0}\n",
     )
     .unwrap();
+    let far = dir.join("far_variant.jsonl");
+    std::fs::write(
+        &far,
+        "{\"at\":0,\"app\":\"fft\",\"weight\":1,\"slo\":\"-\",\"variant\":18446744073709551615}\n",
+    )
+    .unwrap();
     let deep = dir.join("deep_nesting.json");
     std::fs::write(&deep, "[".repeat(200_000)).unwrap();
-    let (late_s, deep_s) = (late.to_str().unwrap(), deep.to_str().unwrap());
+    let (late_s, far_s, deep_s) = (
+        late.to_str().unwrap(),
+        far.to_str().unwrap(),
+        deep.to_str().unwrap(),
+    );
     let cases: Vec<(Vec<&str>, &str)> = vec![
         (vec!["simulate", "--policy", "bogus"], "unknown policy"),
         (vec!["simulate", "--app", "bogus"], "unknown app"),
@@ -197,6 +208,10 @@ fn errors_exit_nonzero_with_message() {
         (
             vec!["fleet", "--arrivals-in", late_s],
             "arrival 0: at 18446744073709551615 is past the arrival horizon",
+        ),
+        (
+            vec!["fleet", "--arrivals-in", far_s],
+            "arrival 0: variant: 18446744073709551615 is out of range; app 'fft' has 4 trace variants",
         ),
         (
             vec!["ingest", "--check", deep_s],
@@ -217,5 +232,6 @@ fn errors_exit_nonzero_with_message() {
         );
     }
     let _ = std::fs::remove_file(late);
+    let _ = std::fs::remove_file(far);
     let _ = std::fs::remove_file(deep);
 }

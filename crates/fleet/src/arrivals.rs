@@ -24,8 +24,9 @@ pub struct SessionRecord {
     /// SLO in the CLI's `crit[:period[:session]]` syntax; `-` (or `none`
     /// or the empty string) means best-effort without deadlines.
     pub slo: String,
-    /// Which of the app's trace variants this session runs (taken modulo
-    /// the registry's variant count).
+    /// Which of the app's trace variants this session runs: an index
+    /// below the registry's variant count for the app (a larger value is
+    /// rejected as a bad record).
     pub variant: u64,
 }
 

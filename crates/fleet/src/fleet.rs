@@ -115,8 +115,9 @@ pub enum FleetError {
         /// Index of the first record earlier than its predecessor.
         index: usize,
     },
-    /// An arrival referenced an app the registry does not hold, carried a
-    /// malformed SLO field, or was submitted past [`ARRIVAL_HORIZON`].
+    /// An arrival referenced an app the registry does not hold or a trace
+    /// variant past the app's variant count, carried a malformed SLO
+    /// field, or was submitted past [`ARRIVAL_HORIZON`].
     BadRecord {
         /// Index of the offending record.
         index: usize,
@@ -301,11 +302,21 @@ fn parse_arrivals(
             index: i,
             reason: e,
         })?;
-        let variants = registry.variant_count(app).max(1);
+        let variants = registry.variant_count(app);
+        let variant = usize::try_from(r.variant)
+            .ok()
+            .filter(|&v| v < variants)
+            .ok_or_else(|| FleetError::BadRecord {
+                index: i,
+                reason: format!(
+                    "variant: {} is out of range; app '{}' has {variants} trace variants",
+                    r.variant, r.app
+                ),
+            })?;
         subs.push(Submission {
             global: u32::try_from(i).unwrap_or(u32::MAX),
             app,
-            variant: usize::try_from(r.variant).unwrap_or(usize::MAX) % variants,
+            variant,
             weight: r.weight.max(1),
             slo,
             submitted: Cycles::new(r.at),
@@ -761,6 +772,7 @@ fn drain_queue<'a>(
 mod tests {
     use super::*;
     use crate::arrivals::{poisson_arrivals, PoissonConfig};
+    use mrts_multitask::SchedulerKind;
 
     fn toy_registry(params: &ArchParams) -> AppRegistry {
         AppRegistry::new(params, &["toy"], 2, 11, 40).unwrap()
@@ -771,6 +783,7 @@ mod tests {
             seed,
             sessions: n,
             mean_gap,
+            variants: 2,
             ..PoissonConfig::default()
         })
     }
@@ -853,6 +866,18 @@ mod tests {
             run_fleet(&params, &registry, &bad, &FleetConfig::default()),
             Err(FleetError::BadRecord { index: 0, .. })
         ));
+        let mut far = toy_records(3, 50_000, 1);
+        far[1].variant = 2;
+        let err = run_fleet(&params, &registry, &far, &FleetConfig::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "arrival 1: variant: 2 is out of range; app 'toy' has 2 trace variants"
+        );
+        far[1].variant = u64::MAX;
+        assert!(matches!(
+            run_fleet(&params, &registry, &far, &FleetConfig::default()),
+            Err(FleetError::BadRecord { index: 1, .. })
+        ));
         let mut late = toy_records(2, 50_000, 1);
         late[1].at = ARRIVAL_HORIZON.get() + 1;
         assert!(matches!(
@@ -888,5 +913,36 @@ mod tests {
         assert_eq!(out.stats.accepted, 2);
         assert_eq!(out.stats.rejected, 4);
         assert_eq!(out.stats.sessions.iter().filter(|s| s.queued).count(), 1);
+    }
+
+    #[test]
+    fn max_weight_arrivals_run_to_completion() {
+        // Weights enter the WFQ virtual clock and the arbiter's
+        // apportionment only through u128 arithmetic, so the largest
+        // weight a record can carry needs no bound.
+        let params = ArchParams::default();
+        let registry = toy_registry(&params);
+        let mut records = toy_records(12, 40_000, 5);
+        for r in records.iter_mut().step_by(2) {
+            r.weight = u64::MAX;
+        }
+        for scheduler in [SchedulerKind::WeightedFair, SchedulerKind::StrictPriority] {
+            let cfg = FleetConfig {
+                multitask: MultitaskConfig {
+                    scheduler,
+                    ..MultitaskConfig::default()
+                },
+                ..FleetConfig::default()
+            };
+            let out = run_fleet(&params, &registry, &records, &cfg).unwrap();
+            assert_eq!(out.stats.accepted + out.stats.rejected, 12);
+            let ran: u64 = out.stats.fabrics.iter().map(|f| f.sessions).sum();
+            assert_eq!(ran, out.stats.accepted, "every accepted session departs");
+            assert!(out
+                .stats
+                .sessions
+                .iter()
+                .any(|s| s.weight == u64::MAX && !s.rejected));
+        }
     }
 }

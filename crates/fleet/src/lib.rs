@@ -13,7 +13,8 @@
 //! use mrts_fleet::{poisson_arrivals, run_fleet, AppRegistry, FleetConfig, PoissonConfig};
 //!
 //! let params = ArchParams::default();
-//! let registry = AppRegistry::new(&params, &["toy"], 2, 1, 40)?;
+//! // Four trace variants, as many as the generator draws from by default.
+//! let registry = AppRegistry::new(&params, &["toy"], 4, 1, 40)?;
 //! let arrivals = poisson_arrivals(&PoissonConfig {
 //!     sessions: 20,
 //!     ..PoissonConfig::default()

@@ -179,16 +179,29 @@ impl From<ArchError> for MultitaskError {
     }
 }
 
-/// Per-tenant live state inside the runner.
-struct Tenant<'a> {
+/// A tenant's engine state: its simulator (machine slice, clock, event
+/// tap) and its private run-time system. Dropped when the session is
+/// settled, so a shard's memory follows its live sessions, not its
+/// history.
+struct Engine<'a> {
     sim: Simulator<'a>,
     policy: Box<dyn RuntimePolicy>,
+}
+
+/// Per-tenant state inside the runner.
+struct Tenant<'a> {
+    /// `None` once the session has been settled
+    /// ([`MultitaskRunner::finish_session`] /
+    /// [`MultitaskRunner::depart_session`]) or rejected: a retired tenant
+    /// keeps only its bookkeeping and [`TenantStats`].
+    engine: Option<Box<Engine<'a>>>,
     catalog: &'a IseCatalog,
     trace: &'a Trace,
     cursor: usize,
     /// `demand_suffix[i]` = Σ over activations `i..` of
     /// executions × RISC latency — the remaining-work weight the dynamic
-    /// arbiter redistributes by.
+    /// arbiter redistributes by. Emptied on retirement (a settled
+    /// session's remaining demand is zero either way).
     demand_suffix: Vec<u64>,
     /// Blocks this tenant finished with *zero* free containers in its
     /// slice — the persistent-exhaustion signal of the dynamic arbiter.
@@ -212,7 +225,7 @@ struct Tenant<'a> {
     stats: TenantStats,
 }
 
-impl Tenant<'_> {
+impl<'a> Tenant<'a> {
     fn runnable(&self) -> bool {
         self.admitted && !self.rejected && self.cursor < self.trace.len()
     }
@@ -226,6 +239,29 @@ impl Tenant<'_> {
 
     fn remaining_demand(&self) -> u64 {
         self.demand_suffix.get(self.cursor).copied().unwrap_or(0)
+    }
+
+    fn engine(&self) -> &Engine<'a> {
+        self.engine
+            .as_deref()
+            .expect("only a retired tenant lacks an engine")
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine<'a> {
+        self.engine
+            .as_deref_mut()
+            .expect("only a retired tenant lacks an engine")
+    }
+
+    /// Drops the tenant's engine state and demand table once its session
+    /// is over, returning its permanently failed slots — the part of its
+    /// grant that stays pinned in the arbiter (hardware damage stays where
+    /// it happened).
+    fn retire(&mut self) -> Resources {
+        let keep = self.engine().sim.machine().failed_resources();
+        self.engine = None;
+        self.demand_suffix = Vec::new();
+        keep
     }
 
     /// Whether this tenant's selector has exhausted its slice on a
@@ -424,9 +460,10 @@ pub fn estimate_utilization_ppm(spec: &TenantSpec<'_>, slice: Resources) -> u64 
 /// Re-realises an arbiter grant on a tenant's machine and selector slice;
 /// returns how many artefacts the resize evicted (only shrinks evict).
 fn resync(tenant: &mut Tenant<'_>, grant: Resources) -> u64 {
-    let target = grant.saturating_sub(tenant.sim.machine().failed_resources());
-    let evicted = tenant.sim.machine_mut().resize_capacity(target);
-    tenant.policy.set_resource_slice(Some(grant));
+    let Engine { sim, policy } = tenant.engine_mut();
+    let target = grant.saturating_sub(sim.machine().failed_resources());
+    let evicted = sim.machine_mut().resize_capacity(target);
+    policy.set_resource_slice(Some(grant));
     evicted.len() as u64
 }
 
@@ -514,7 +551,7 @@ fn demotion_plan(
         }
     }
     let entitlement = entitlement.saturating_sub(loaned_in);
-    let pinned = tenants[v].sim.machine().failed_resources();
+    let pinned = tenants[v].engine().sim.machine().failed_resources();
     for level in tenants[v].level + 1..=LADDER_BOTTOM {
         let cap = ladder_cap(level, entitlement).max(pinned);
         let freed = arbiter.grant(v).saturating_sub(cap);
@@ -536,6 +573,7 @@ fn demotion_plan(
 #[allow(clippy::too_many_arguments)]
 fn ladder_step(
     tenants: &mut [Tenant<'_>],
+    live: &[usize],
     arbiter: &mut FabricArbiter,
     loans: &mut Vec<Loan>,
     clock: &mut Timeline,
@@ -593,23 +631,21 @@ fn ladder_step(
     // (b) Shed speedup: the tardiest slice-constrained tenant borrows
     // fabric from the slack-richest victim that stays safe at RISC speed.
     let now = clock.now();
-    let beneficiary = (0..tenants.len())
+    let beneficiary = live
+        .iter()
+        .copied()
         .filter(|&i| {
             let x = &tenants[i];
-            x.runnable()
-                && (x.slice_constrained() || x.fabric_limited(arbiter.grant(i), arbiter.pool()))
+            (x.slice_constrained() || x.fabric_limited(arbiter.grant(i), arbiter.pool()))
                 && x.remaining_demand() >= cfg.repartition_min_demand.get()
                 && x.laxity(now).is_some_and(|l| l < 0)
         })
         .min_by_key(|&i| (tenants[i].laxity(now).unwrap_or(i128::MAX), i));
     let Some(b) = beneficiary else { return };
-    let victim = (0..tenants.len())
-        .filter(|&i| {
-            i != b
-                && tenants[i].runnable()
-                && tenants[i].level < LADDER_BOTTOM
-                && tenants[i].safe_to_demote(now)
-        })
+    let victim = live
+        .iter()
+        .copied()
+        .filter(|&i| i != b && tenants[i].level < LADDER_BOTTOM && tenants[i].safe_to_demote(now))
         .filter_map(|i| {
             let (to_level, freed) = demotion_plan(tenants, arbiter, loans, i)?;
             let slack = tenants[i].laxity(now).unwrap_or(i128::MAX);
@@ -805,10 +841,18 @@ pub struct MultitaskRunner<'a> {
     last: Option<usize>,
     shared: Option<VecSink>,
     any_slo: bool,
-    // Scheduler-input scratch, refilled in place every dispatch so the
-    // steady-state loop allocates nothing (the engine-side twin of the
-    // selector's arena — see DESIGN §11).
-    runnable: Vec<bool>,
+    /// The runnable tenants (admitted, not rejected, blocks left), in
+    /// ascending index order: every per-block path — the scheduler pick,
+    /// the SLO snapshot, the arbiter's beneficiaries, the ladder's
+    /// candidates — iterates this list, so a dispatch costs O(live
+    /// sessions), not O(sessions ever admitted). Kept up to date where
+    /// runnability changes: construction, `admit_session`, a finishing
+    /// `step`, and the queue flips in `finish_session` and
+    /// `force_admit_next`.
+    live: Vec<usize>,
+    // SLO-snapshot scratch, parallel to `live` and refilled in place every
+    // dispatch so the steady-state loop allocates nothing (the engine-side
+    // twin of the selector's arena — see DESIGN §11).
     deadlines: Vec<Option<Cycles>>,
     laxities: Vec<Option<i128>>,
 }
@@ -863,8 +907,7 @@ fn build_tenant<'a>(
         sim.attach_events(tag, Box::new(s.clone()));
     }
     Ok(Tenant {
-        sim,
-        policy,
+        engine: Some(Box::new(Engine { sim, policy })),
         catalog: spec.catalog,
         trace: spec.trace,
         cursor: 0,
@@ -933,7 +976,7 @@ impl<'a> MultitaskRunner<'a> {
             last: None,
             shared,
             any_slo: false,
-            runnable: Vec::with_capacity(specs.len()),
+            live: Vec::with_capacity(specs.len()),
             deadlines: Vec::with_capacity(specs.len()),
             laxities: Vec::with_capacity(specs.len()),
         };
@@ -978,27 +1021,25 @@ impl<'a> MultitaskRunner<'a> {
                 }
             }
         }
-        // A rejected session never runs: its slice goes back to the pool
-        // at time zero, uncharged (the run has not started yet).
-        // Beneficiaries are the admitted sessions with enough remaining
-        // work; there is no exhaustion history yet, so that gate is waived
-        // here.
+        runner.live = (0..runner.tenants.len())
+            .filter(|&i| runner.tenants[i].runnable())
+            .collect();
+        // A rejected session never runs: it retires at once and its slice
+        // goes back to the pool at time zero, uncharged (the run has not
+        // started yet). Beneficiaries are the admitted sessions with
+        // enough remaining work; there is no exhaustion history yet, so
+        // that gate is waived here.
         for r in 0..runner.tenants.len() {
             if !runner.tenants[r].rejected {
                 continue;
             }
-            let keep = runner.tenants[r].sim.machine().failed_resources();
-            let _ = runner.tenants[r].sim.machine_mut().resize_capacity(keep);
-            runner.tenants[r]
-                .policy
-                .set_resource_slice(Some(Resources::NONE));
+            let keep = runner.tenants[r].retire();
             let demands: Vec<(usize, u64)> = runner
-                .tenants
+                .live
                 .iter()
-                .filter(|x| {
-                    x.runnable() && x.remaining_demand() >= cfg.repartition_min_demand.get()
-                })
-                .map(|x| (x.stats.tenant, x.remaining_demand().max(1)))
+                .map(|&i| (i, runner.tenants[i].remaining_demand()))
+                .filter(|&(_, d)| d >= cfg.repartition_min_demand.get())
+                .map(|(i, d)| (i, d.max(1)))
                 .collect();
             if runner.arbiter.release(r, keep, &demands) {
                 for &(i, _) in &demands {
@@ -1031,40 +1072,31 @@ impl<'a> MultitaskRunner<'a> {
     /// [`StepOutcome::Ran`]) and runs the ladder
     /// ([`ladder_maybe`](MultitaskRunner::ladder_maybe)) between steps.
     pub fn step(&mut self) -> StepOutcome {
-        self.runnable.clear();
-        self.runnable
-            .extend(self.tenants.iter().map(Tenant::runnable));
-        if !self.runnable.contains(&true) {
+        if self.live.is_empty() {
             return StepOutcome::Idle;
         }
-        // The deadline state the SLO-aware schedulers rank by; the
-        // deadline-blind ones never look at it.
+        // The deadline state the SLO-aware schedulers rank by (parallel to
+        // `live`); the deadline-blind ones never look at it.
         let now = self.clock.now();
+        let tenants = &self.tenants;
         self.deadlines.clear();
-        self.deadlines.extend(self.tenants.iter().map(|x| {
-            if x.runnable() {
-                x.next_deadline()
-            } else {
-                None
-            }
-        }));
+        self.deadlines
+            .extend(self.live.iter().map(|&i| tenants[i].next_deadline()));
         self.laxities.clear();
-        self.laxities.extend(self.tenants.iter().map(|x| {
-            if x.runnable() {
-                x.laxity(now)
-            } else {
-                None
-            }
-        }));
+        self.laxities
+            .extend(self.live.iter().map(|&i| tenants[i].laxity(now)));
         let snap = SloSnapshot {
             deadlines: &self.deadlines,
             laxities: &self.laxities,
         };
         let t = self
             .scheduler
-            .pick_slo(&self.runnable, &snap)
+            .pick_slo(&self.live, &snap)
             .expect("scheduler must pick while a tenant is runnable");
-        debug_assert!(self.runnable[t], "scheduler picked a finished tenant");
+        let slot = self
+            .live
+            .binary_search(&t)
+            .expect("scheduler picked a tenant that is not live");
 
         // Context switch: charged only when the core changes hands.
         if self.last.is_some() && self.last != Some(t) {
@@ -1088,11 +1120,15 @@ impl<'a> MultitaskRunner<'a> {
 
         let tag = self.tags[t];
         let tenant = &mut self.tenants[t];
+        let Engine { sim, policy } = tenant
+            .engine
+            .as_deref_mut()
+            .expect("a live tenant owns its engine");
         // Time the tenant spent descheduled; its DMA-driven loads kept
         // streaming meanwhile.
-        if self.clock.now() > tenant.sim.now() {
-            tenant.stats.waiting_cycles += self.clock.now() - tenant.sim.now();
-            tenant.sim.advance_to(self.clock.now());
+        if self.clock.now() > sim.now() {
+            tenant.stats.waiting_cycles += self.clock.now() - sim.now();
+            sim.advance_to(self.clock.now());
         }
         // Dispatch is recorded *after* the catch-up settle so the tenant's
         // deferred load completions (timestamps at or before the dispatch)
@@ -1102,25 +1138,23 @@ impl<'a> MultitaskRunner<'a> {
             s.clone()
                 .emit(tag, SimEvent::TenantDispatch { at, tenant: tag });
         }
-        let t0 = tenant.sim.now();
+        let t0 = sim.now();
         let activation = &tenant.trace.activations()[tenant.cursor];
-        tenant
-            .sim
-            .step_activation(activation, tenant.policy.as_mut(), &mut tenant.stats.run);
+        sim.step_activation(activation, policy.as_mut(), &mut tenant.stats.run);
         tenant.cursor += 1;
-        if tenant.sim.machine().free_resources().is_empty() {
+        if sim.machine().free_resources().is_empty() {
             tenant.exhausted_blocks += 1;
         }
-        let consumed = tenant.sim.now() - t0;
+        let consumed = sim.now() - t0;
         tenant.service_done += consumed;
         self.scheduler.charge(t, consumed);
-        self.clock.advance_to(tenant.sim.now());
+        self.clock.advance_to(sim.now());
 
         // Per-block SLO check: block `cursor-1` was due at
         // `arrival + period·cursor`.
         if let Some(p) = tenant.slo.and_then(|s| s.block_period) {
             let deadline = tenant.arrival + p * tenant.cursor as u64;
-            let finish = tenant.sim.now();
+            let finish = sim.now();
             tenant.stats.slo_deadlines += 1;
             if finish > deadline {
                 let tardiness = finish - deadline;
@@ -1141,14 +1175,16 @@ impl<'a> MultitaskRunner<'a> {
             }
         }
 
-        let finished = if tenant.runnable() {
+        // A live tenant is admitted and not rejected, so it stops being
+        // runnable exactly when its trace runs out.
+        let finished = if tenant.cursor < tenant.trace.len() {
             false
         } else {
             tenant.stats.turnaround = self.clock.now();
             // Session-level SLO check at the finish line.
             if let Some(d) = tenant.slo.and_then(|s| s.session_deadline) {
                 let deadline = tenant.arrival + d;
-                let finish = tenant.sim.now();
+                let finish = sim.now();
                 tenant.stats.slo_deadlines += 1;
                 if finish > deadline {
                     let tardiness = finish - deadline;
@@ -1170,7 +1206,8 @@ impl<'a> MultitaskRunner<'a> {
             }
             // Reconfigurations can outlive the trace: drain the tenant's
             // still-deferred completions into the log.
-            tenant.sim.finish_events();
+            sim.finish_events();
+            self.live.remove(slot);
             true
         };
         StepOutcome::Ran {
@@ -1180,46 +1217,43 @@ impl<'a> MultitaskRunner<'a> {
     }
 
     /// Settles a finished session the batch way: unwind the loan stack,
-    /// release its slice through the arbiter (redistributing to
-    /// slice-constrained incumbents by remaining demand — the freed part
-    /// no incumbent claims lands in the free store), and re-test the
-    /// admission queue.
+    /// retire the session's engine state, release its slice through the
+    /// arbiter (redistributing to slice-constrained incumbents by
+    /// remaining demand — the freed part no incumbent claims lands in the
+    /// free store), and re-test the admission queue.
+    ///
+    /// Call it once per session, after the [`step`](MultitaskRunner::step)
+    /// that reported it finished.
     pub fn finish_session(&mut self, t: usize) {
         self.unwind_loans();
-        // Release the finished tenant's working containers; its
-        // permanently failed slots stay pinned in place. Evicting the
-        // residual artefacts of a *finished* tenant destroys no useful
-        // work, so this reclamation does not count towards
-        // `repartition_evictions` (which measures work lost by running
-        // tenants to arbiter shrinks).
-        let keep = self.tenants[t].sim.machine().failed_resources();
-        let _ = self.tenants[t].sim.machine_mut().resize_capacity(keep);
-        self.tenants[t]
-            .policy
-            .set_resource_slice(Some(Resources::NONE));
+        // Retiring drops the finished tenant's working containers with its
+        // machine; its permanently failed slots stay pinned in the
+        // arbiter. Losing the residual artefacts of a *finished* tenant
+        // destroys no useful work, so this reclamation does not count
+        // towards `repartition_evictions` (which measures work lost by
+        // running tenants to arbiter shrinks).
+        let keep = self.tenants[t].retire();
 
         // Beneficiaries: still-active tenants with enough work left to
         // amortise the reconfigurations a bigger slice invites, and whose
         // selector persistently exhausts the slice it already has (see
         // [`Tenant::slice_constrained`]).
         let demands: Vec<(usize, u64)> = self
-            .tenants
+            .live
             .iter()
-            .filter(|x| {
-                x.runnable()
-                    && x.remaining_demand() >= self.cfg.repartition_min_demand.get()
+            .map(|&i| (i, &self.tenants[i]))
+            .filter(|(_, x)| {
+                x.remaining_demand() >= self.cfg.repartition_min_demand.get()
                     && x.slice_constrained()
             })
-            .map(|x| (x.stats.tenant, x.remaining_demand().max(1)))
+            .map(|(i, x)| (i, x.remaining_demand().max(1)))
             .collect();
         if self.arbiter.release(t, keep, &demands) {
             self.charge_repartition();
             for &(i, _) in &demands {
                 let grant = self.arbiter.grant(i);
-                let target = grant.saturating_sub(self.tenants[i].sim.machine().failed_resources());
-                let evicted = self.tenants[i].sim.machine_mut().resize_capacity(target);
-                self.tenants[i].stats.repartition_evictions += evicted.len() as u64;
-                self.tenants[i].policy.set_resource_slice(Some(grant));
+                let evicted = resync(&mut self.tenants[i], grant);
+                self.tenants[i].stats.repartition_evictions += evicted;
                 if let Some(s) = &self.shared {
                     let at = self.clock.now();
                     s.clone().emit(
@@ -1236,27 +1270,39 @@ impl<'a> MultitaskRunner<'a> {
         }
 
         // A finished session's utilization frees up: re-test the admission
-        // queue. Late admissions arrive *now* — their deadlines are
-        // relative to this instant, not time zero.
-        let done: Vec<bool> = self.tenants.iter().map(Tenant::done).collect();
-        for i in self.controller.retry(&done) {
-            self.tenants[i].admitted = true;
-            self.tenants[i].arrival = self.clock.now();
+        // queue (only the queueing policy has one). Late admissions arrive
+        // *now* — their deadlines are relative to this instant, not time
+        // zero.
+        if self.controller.policy() == AdmissionPolicy::Queue {
+            let done: Vec<bool> = self.tenants.iter().map(Tenant::done).collect();
+            for i in self.controller.retry(&done) {
+                self.tenants[i].admitted = true;
+                self.tenants[i].arrival = self.clock.now();
+                self.mark_live(i);
+            }
         }
     }
 
     /// Settles a departing session the fleet way: unwind the loan stack,
-    /// then park its whole slice in the arbiter's free store (no
-    /// redistribution — the fleet decides who gets the fabric next).
-    /// Returns the freed amount.
+    /// retire the session's engine state, then park its whole slice in
+    /// the arbiter's free store (no redistribution — the fleet decides who
+    /// gets the fabric next). Returns the freed amount. Call it once per
+    /// session, after the [`step`](MultitaskRunner::step) that reported it
+    /// finished.
     pub fn depart_session(&mut self, t: usize) -> Resources {
         self.unwind_loans();
-        let keep = self.tenants[t].sim.machine().failed_resources();
-        let _ = self.tenants[t].sim.machine_mut().resize_capacity(keep);
-        self.tenants[t]
-            .policy
-            .set_resource_slice(Some(Resources::NONE));
+        let keep = self.tenants[t].retire();
         self.arbiter.park(t, keep)
+    }
+
+    /// Adds a tenant that just became runnable to the live list, keeping
+    /// it ascending.
+    fn mark_live(&mut self, t: usize) {
+        if self.tenants[t].runnable() {
+            if let Err(pos) = self.live.binary_search(&t) {
+                self.live.insert(pos, t);
+            }
+        }
     }
 
     /// Unwinds the whole loan stack (strictly LIFO) *before* any release
@@ -1304,6 +1350,7 @@ impl<'a> MultitaskRunner<'a> {
         if self.cfg.degrade && self.any_slo {
             ladder_step(
                 &mut self.tenants,
+                &self.live,
                 &mut self.arbiter,
                 &mut self.loans,
                 &mut self.clock,
@@ -1323,6 +1370,7 @@ impl<'a> MultitaskRunner<'a> {
             self.tenants[q].admitted = true;
             self.tenants[q].arrival = self.clock.now();
             if self.tenants[q].runnable() {
+                self.mark_live(q);
                 progressed = true;
                 break;
             }
@@ -1348,9 +1396,6 @@ impl<'a> MultitaskRunner<'a> {
         tag: u32,
     ) -> Result<usize, MultitaskError> {
         let index = self.tenants.len();
-        self.runnable.clear();
-        self.runnable
-            .extend(self.tenants.iter().map(Tenant::runnable));
         let weight = spec.weight.max(1);
         let grant = slice.min(self.arbiter.free());
         let mut tenant = build_tenant(
@@ -1368,11 +1413,15 @@ impl<'a> MultitaskRunner<'a> {
         // The session's private engine starts at the global clock, not at
         // zero — otherwise its first dispatch would count the whole
         // pre-arrival era as waiting time.
-        tenant.sim.advance_to(self.clock.now());
+        tenant.engine_mut().sim.advance_to(self.clock.now());
         let carved = self.arbiter.admit(slice);
         debug_assert_eq!(carved, index, "arbiter and tenant list diverged");
-        self.scheduler.register(weight, &self.runnable);
+        self.scheduler.register(weight, &self.live);
         self.any_slo |= spec.slo.is_some_and(|s| !s.is_unconstrained());
+        if tenant.runnable() {
+            // The newcomer has the highest index: the list stays ascending.
+            self.live.push(index);
+        }
         self.tenants.push(tenant);
         self.tags.push(tag);
         Ok(index)
@@ -1466,7 +1515,7 @@ impl<'a> MultitaskRunner<'a> {
     /// Whether any session still has blocks to run.
     #[must_use]
     pub fn has_runnable(&self) -> bool {
-        self.tenants.iter().any(Tenant::runnable)
+        !self.live.is_empty()
     }
 
     /// Session `t`'s remaining RISC demand (the arbiter's weight).
@@ -1862,6 +1911,164 @@ mod tests {
         assert_eq!(stats.tenants[1].run.failed_loads, 0, "faults must not leak");
         for t in &stats.tenants {
             assert_eq!(t.run.total_executions(), 6 * 300);
+        }
+    }
+    /// One runner call of [`live_set_tracks_runnability_under_random_calls`].
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Admit(usize),
+        Step,
+        Finish(usize),
+        Depart(usize),
+        Ladder,
+        ForceAdmit,
+    }
+
+    /// Applies `call`; returns the session a `Step` finished, if any.
+    fn apply<'a>(
+        runner: &mut MultitaskRunner<'a>,
+        specs: &[TenantSpec<'a>],
+        call: Call,
+    ) -> Option<usize> {
+        match call {
+            Call::Admit(k) => {
+                let prep = prep_session(&ArchParams::default(), &specs[k]).unwrap();
+                let tag = runner.session_count() as u32;
+                let _ = runner
+                    .admit_session(&specs[k], prep, Resources::new(1, 1), tag)
+                    .unwrap();
+            }
+            Call::Step => {
+                if let StepOutcome::Ran {
+                    tenant,
+                    finished: true,
+                } = runner.step()
+                {
+                    return Some(tenant);
+                }
+            }
+            Call::Finish(t) => runner.finish_session(t),
+            Call::Depart(t) => {
+                let _ = runner.depart_session(t);
+            }
+            Call::Ladder => runner.ladder_maybe(),
+            Call::ForceAdmit => {
+                let _ = runner.force_admit_next();
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn live_set_tracks_runnability_under_random_calls() {
+        let toy = ToyApp::new();
+        let catalog = toy
+            .application()
+            .build_catalog(ArchParams::default(), None)
+            .unwrap();
+        let traces: Vec<Trace> = [2, 3, 5]
+            .iter()
+            .map(|&blocks| synthetic_trace(&toy, &[Pattern::Constant(200)], blocks))
+            .collect();
+        // The mix: plain, weighted, a tight and an impossible SLO (the
+        // latter queues under `AdmissionPolicy::Queue`), and one tenant
+        // with injected faults.
+        let specs = [
+            TenantSpec::new("plain", &catalog, &traces[0]),
+            TenantSpec::new("rt", &catalog, &traces[1]).with_slo("hard:60000".parse().unwrap()),
+            TenantSpec::new("rt2", &catalog, &traces[2]).with_slo("soft:60000".parse().unwrap()),
+            TenantSpec::new("heavy", &catalog, &traces[2]).with_weight(3),
+            TenantSpec::new("greedy", &catalog, &traces[2]).with_slo("soft:1".parse().unwrap()),
+            TenantSpec::new("faulty", &catalog, &traces[1])
+                .with_fault_model(FaultModel::new(0.5, 7)),
+        ];
+        for seed in 0..24u64 {
+            let cfg = MultitaskConfig {
+                scheduler: [
+                    SchedulerKind::WeightedFair,
+                    SchedulerKind::EarliestDeadline,
+                    SchedulerKind::LeastLaxity,
+                    SchedulerKind::RoundRobin(Cycles::new(100_000)),
+                ][seed as usize % 4],
+                admission: [AdmissionPolicy::Queue, AdmissionPolicy::Reject][seed as usize / 4 % 2],
+                repartition_min_demand: Cycles::ZERO,
+                ..MultitaskConfig::default()
+            };
+            let fresh = || {
+                MultitaskRunner::new(
+                    ArchParams::default(),
+                    Resources::new(2, 3),
+                    &specs[..3 + seed as usize % 3],
+                    &cfg,
+                    true,
+                )
+                .unwrap()
+            };
+            // SplitMix64 over the seed: the call sequence is reproducible.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut draw = |bound: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) % bound
+            };
+            let mut runner = fresh();
+            let mut calls = Vec::new();
+            let mut pending: Vec<usize> = Vec::new();
+            let mut settled: Vec<usize> = Vec::new();
+            for _ in 0..200 {
+                let call = match draw(10) {
+                    0 if runner.session_count() < 12 => {
+                        Call::Admit(draw(specs.len() as u64) as usize)
+                    }
+                    1 | 2 if !pending.is_empty() => {
+                        let t = pending.remove(draw(pending.len() as u64) as usize);
+                        settled.push(t);
+                        if draw(2) == 0 {
+                            Call::Finish(t)
+                        } else {
+                            Call::Depart(t)
+                        }
+                    }
+                    3 => Call::Ladder,
+                    4 if !runner.has_runnable() => Call::ForceAdmit,
+                    _ => Call::Step,
+                };
+                calls.push(call);
+                pending.extend(apply(&mut runner, &specs, call));
+
+                let expect: Vec<usize> = (0..runner.tenants.len())
+                    .filter(|&i| runner.tenants[i].runnable())
+                    .collect();
+                assert_eq!(
+                    runner.live, expect,
+                    "seed {seed}: live set drifted after {call:?}"
+                );
+                for (i, x) in runner.tenants.iter().enumerate() {
+                    let retired = settled.contains(&i) || x.rejected;
+                    assert_eq!(
+                        x.engine.is_none(),
+                        retired,
+                        "seed {seed}: tenant {i} after {call:?}"
+                    );
+                    if retired {
+                        assert!(
+                            x.demand_suffix.is_empty(),
+                            "seed {seed}: tenant {i} kept its demand table"
+                        );
+                    }
+                }
+            }
+            let mut replay = fresh();
+            for &call in &calls {
+                let _ = apply(&mut replay, &specs, call);
+            }
+            assert_eq!(
+                runner.into_stats(),
+                replay.into_stats(),
+                "seed {seed}: replay diverged"
+            );
         }
     }
 }

@@ -19,21 +19,31 @@ use std::str::FromStr;
 /// [`Scheduler::charge`] after it with the cycles the block actually
 /// consumed. Implementations must be deterministic: equal inputs must
 /// produce equal picks (ties break towards the lowest tenant index).
+///
+/// # The live-list contract
+///
+/// Every method that looks at the tenant population takes `live`: the
+/// indices of the runnable tenants (admitted, not rejected, blocks left),
+/// strictly ascending. The runner keeps that list up to date as sessions
+/// are admitted, finish and leave the admission queue, so a pick costs
+/// O(live tenants) however many sessions a long-running shard has seen
+/// come and go. A tenant missing from `live` must never be picked; an
+/// empty `live` picks `None`.
 pub trait Scheduler: fmt::Debug {
     /// Short diagnostic name (`rr`, `prio`, `wfq`, `edf`, `llf`).
     fn name(&self) -> &'static str;
 
-    /// Chooses the next tenant among the runnable ones (`runnable[i]` is
-    /// `true` iff tenant `i` still has blocks to execute). Returns `None`
-    /// iff no tenant is runnable.
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize>;
+    /// Chooses the next tenant among the runnable ones (`live`, ascending
+    /// tenant indices). Returns `None` iff `live` is empty.
+    fn pick(&mut self, live: &[usize]) -> Option<usize>;
 
     /// Deadline-aware pick: like [`Scheduler::pick`], but with the
-    /// tenants' current SLO state available. The deadline-blind
-    /// disciplines ignore the snapshot (this default); EDF and LLF are
-    /// *defined* by it.
-    fn pick_slo(&mut self, runnable: &[bool], _slo: &SloSnapshot<'_>) -> Option<usize> {
-        self.pick(runnable)
+    /// tenants' current SLO state available; the snapshot's slices run
+    /// parallel to `live` (entry `j` describes tenant `live[j]`). The
+    /// deadline-blind disciplines ignore the snapshot (this default); EDF
+    /// and LLF are *defined* by it.
+    fn pick_slo(&mut self, live: &[usize], _slo: &SloSnapshot<'_>) -> Option<usize> {
+        self.pick(live)
     }
 
     /// Accounts `consumed` core cycles to `tenant` after it ran a block.
@@ -42,13 +52,13 @@ pub trait Scheduler: fmt::Debug {
     /// Registers a late-arriving tenant, appended after the highest index
     /// seen so far (the fleet's churn path; the batch path sizes every
     /// scheduler at build time and never calls this). `weight` is the
-    /// newcomer's share/priority and `runnable` the mask of the *existing*
+    /// newcomer's share/priority and `live` the runnable *existing*
     /// tenants at admission time, letting fairness disciplines start the
     /// newcomer at the virtual clock of the currently backlogged tenants —
     /// it neither monopolises the core catching up from zero nor pays for
     /// history it did not have. Stateless disciplines ignore both (this
     /// default).
-    fn register(&mut self, _weight: u64, _runnable: &[bool]) {}
+    fn register(&mut self, _weight: u64, _live: &[usize]) {}
 }
 
 /// Round-robin with a time quantum: a tenant keeps the core for
@@ -79,27 +89,25 @@ impl Scheduler for RoundRobin {
         "rr"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
+    fn pick(&mut self, live: &[usize]) -> Option<usize> {
         if let Some(cur) = self.current {
-            if cur < runnable.len()
-                && runnable[cur]
-                && self.quantum > Cycles::ZERO
+            if self.quantum > Cycles::ZERO
                 && self.used < self.quantum
+                && live.binary_search(&cur).is_ok()
             {
                 return Some(cur);
             }
         }
+        // Rotate: the first live tenant after the current one, wrapping
+        // around to the lowest index.
         let start = self.current.map_or(0, |c| c + 1);
-        let n = runnable.len();
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if runnable[idx] {
-                self.current = Some(idx);
-                self.used = Cycles::ZERO;
-                return Some(idx);
-            }
-        }
-        None
+        let next = live
+            .get(live.partition_point(|&i| i < start))
+            .or(live.first())
+            .copied()?;
+        self.current = Some(next);
+        self.used = Cycles::ZERO;
+        Some(next)
     }
 
     fn charge(&mut self, tenant: usize, consumed: Cycles) {
@@ -133,20 +141,18 @@ impl Scheduler for StrictPriority {
         "prio"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
-        (0..runnable.len())
-            .filter(|&i| runnable[i])
-            .max_by_key(|&i| {
-                (
-                    self.weights.get(i).copied().unwrap_or(0),
-                    usize::MAX - i, // tie → lowest index
-                )
-            })
+    fn pick(&mut self, live: &[usize]) -> Option<usize> {
+        live.iter().copied().max_by_key(|&i| {
+            (
+                self.weights.get(i).copied().unwrap_or(0),
+                usize::MAX - i, // tie → lowest index
+            )
+        })
     }
 
     fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
 
-    fn register(&mut self, weight: u64, _runnable: &[bool]) {
+    fn register(&mut self, weight: u64, _live: &[usize]) {
         self.weights.push(weight);
     }
 }
@@ -184,9 +190,9 @@ impl Scheduler for WeightedFair {
         "wfq"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
-        (0..runnable.len())
-            .filter(|&i| runnable[i])
+    fn pick(&mut self, live: &[usize]) -> Option<usize> {
+        live.iter()
+            .copied()
             .min_by_key(|&i| (self.vtime.get(i).copied().unwrap_or(0), i))
     }
 
@@ -196,14 +202,15 @@ impl Scheduler for WeightedFair {
         }
     }
 
-    fn register(&mut self, weight: u64, runnable: &[bool]) {
+    fn register(&mut self, weight: u64, live: &[usize]) {
         // Start at the virtual clock of the currently backlogged tenants
         // (the standard WFQ virtual start time), so a newcomer competes
         // fairly from now on instead of replaying the whole past.
-        let vstart = (0..runnable.len().min(self.vtime.len()))
-            .filter(|&i| runnable[i])
-            .map(|i| self.vtime[i])
+        let vstart = live
+            .iter()
+            .filter_map(|&i| self.vtime.get(i))
             .min()
+            .copied()
             .unwrap_or(0);
         self.weights.push(weight);
         self.vtime.push(vstart);
@@ -224,24 +231,23 @@ impl Scheduler for EarliestDeadline {
         "edf"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
+    fn pick(&mut self, live: &[usize]) -> Option<usize> {
         // Without deadline information every tenant ranks equally:
         // degenerate to lowest-index-first.
-        runnable.iter().position(|&r| r)
+        live.first().copied()
     }
 
-    fn pick_slo(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
-        (0..runnable.len())
-            .filter(|&i| runnable[i])
-            .min_by_key(|&i| {
-                let d = slo
-                    .deadlines
-                    .get(i)
-                    .copied()
-                    .flatten()
-                    .map_or(u64::MAX, Cycles::get);
-                (d, i)
-            })
+    fn pick_slo(&mut self, live: &[usize], slo: &SloSnapshot<'_>) -> Option<usize> {
+        let j = (0..live.len()).min_by_key(|&j| {
+            let d = slo
+                .deadlines
+                .get(j)
+                .copied()
+                .flatten()
+                .map_or(u64::MAX, Cycles::get);
+            (d, live[j])
+        })?;
+        Some(live[j])
     }
 
     fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
@@ -261,17 +267,16 @@ impl Scheduler for LeastLaxity {
         "llf"
     }
 
-    fn pick(&mut self, runnable: &[bool]) -> Option<usize> {
-        runnable.iter().position(|&r| r)
+    fn pick(&mut self, live: &[usize]) -> Option<usize> {
+        live.first().copied()
     }
 
-    fn pick_slo(&mut self, runnable: &[bool], slo: &SloSnapshot<'_>) -> Option<usize> {
-        (0..runnable.len())
-            .filter(|&i| runnable[i])
-            .min_by_key(|&i| {
-                let l = slo.laxities.get(i).copied().flatten().unwrap_or(i128::MAX);
-                (l, i)
-            })
+    fn pick_slo(&mut self, live: &[usize], slo: &SloSnapshot<'_>) -> Option<usize> {
+        let j = (0..live.len()).min_by_key(|&j| {
+            let l = slo.laxities.get(j).copied().flatten().unwrap_or(i128::MAX);
+            (l, live[j])
+        })?;
+        Some(live[j])
     }
 
     fn charge(&mut self, _tenant: usize, _consumed: Cycles) {}
@@ -345,10 +350,10 @@ mod tests {
     #[test]
     fn round_robin_rotates_each_block_with_zero_quantum() {
         let mut rr = RoundRobin::new(Cycles::ZERO);
-        let runnable = vec![true, true, true];
+        let live = [0, 1, 2];
         let picks: Vec<usize> = (0..6)
             .map(|_| {
-                let t = rr.pick(&runnable).unwrap();
+                let t = rr.pick(&live).unwrap();
                 rr.charge(t, Cycles::new(10));
                 t
             })
@@ -359,33 +364,33 @@ mod tests {
     #[test]
     fn round_robin_honours_quantum_and_skips_finished() {
         let mut rr = RoundRobin::new(Cycles::new(100));
-        let mut runnable = vec![true, true, true];
-        assert_eq!(rr.pick(&runnable), Some(0));
+        let mut live = vec![0, 1, 2];
+        assert_eq!(rr.pick(&live), Some(0));
         rr.charge(0, Cycles::new(60));
-        assert_eq!(rr.pick(&runnable), Some(0), "quantum not yet used up");
+        assert_eq!(rr.pick(&live), Some(0), "quantum not yet used up");
         rr.charge(0, Cycles::new(60));
-        assert_eq!(rr.pick(&runnable), Some(1), "quantum exceeded");
+        assert_eq!(rr.pick(&live), Some(1), "quantum exceeded");
         rr.charge(1, Cycles::new(200));
-        runnable[2] = false; // tenant 2 finished
-        assert_eq!(rr.pick(&runnable), Some(0), "rotation skips finished");
+        live.retain(|&i| i != 2); // tenant 2 finished
+        assert_eq!(rr.pick(&live), Some(0), "rotation skips finished");
     }
 
     #[test]
     fn strict_priority_prefers_heavy_then_low_index() {
         let mut p = StrictPriority::new(&[1, 5, 5]);
-        assert_eq!(p.pick(&[true, true, true]), Some(1), "tie → lowest index");
-        assert_eq!(p.pick(&[true, false, true]), Some(2));
-        assert_eq!(p.pick(&[true, false, false]), Some(0));
-        assert_eq!(p.pick(&[false, false, false]), None);
+        assert_eq!(p.pick(&[0, 1, 2]), Some(1), "tie → lowest index");
+        assert_eq!(p.pick(&[0, 2]), Some(2));
+        assert_eq!(p.pick(&[0]), Some(0));
+        assert_eq!(p.pick(&[]), None);
     }
 
     #[test]
     fn weighted_fair_converges_to_weight_ratio() {
         let mut w = WeightedFair::new(&[1, 3]);
-        let runnable = vec![true, true];
+        let live = [0, 1];
         let mut served = [0u64, 0u64];
         for _ in 0..400 {
-            let t = w.pick(&runnable).unwrap();
+            let t = w.pick(&live).unwrap();
             served[t] += 100;
             w.charge(t, Cycles::new(100));
         }
@@ -399,11 +404,11 @@ mod tests {
     #[test]
     fn weighted_fair_never_starves_a_runnable_tenant() {
         let mut w = WeightedFair::new(&[1, 1000]);
-        let runnable = vec![true, true];
+        let live = [0, 1];
         let mut gap = 0u32;
         let mut worst = 0u32;
         for _ in 0..2_000 {
-            let t = w.pick(&runnable).unwrap();
+            let t = w.pick(&live).unwrap();
             w.charge(t, Cycles::new(50));
             if t == 0 {
                 worst = worst.max(gap);
@@ -419,20 +424,20 @@ mod tests {
     fn register_appends_without_catchup_monopoly() {
         let mut w = WeightedFair::new(&[1]);
         w.charge(0, Cycles::new(1_000));
-        w.register(1, &[true]);
+        w.register(1, &[0]);
         // The newcomer starts at the incumbent's virtual clock, so the
         // tie breaks to the incumbent instead of a zero-vtime monopoly.
-        assert_eq!(w.pick(&[true, true]), Some(0));
+        assert_eq!(w.pick(&[0, 1]), Some(0));
         w.charge(0, Cycles::new(10));
-        assert_eq!(w.pick(&[true, true]), Some(1));
+        assert_eq!(w.pick(&[0, 1]), Some(1));
         // Strict priority just learns the newcomer's weight.
         let mut p = StrictPriority::new(&[1]);
-        p.register(9, &[true]);
-        assert_eq!(p.pick(&[true, true]), Some(1));
+        p.register(9, &[0]);
+        assert_eq!(p.pick(&[0, 1]), Some(1));
         // Stateless disciplines ignore registration.
         let mut edf = EarliestDeadline;
-        edf.register(1, &[true]);
-        assert_eq!(edf.pick(&[true, true]), Some(0));
+        edf.register(1, &[0]);
+        assert_eq!(edf.pick(&[0, 1]), Some(0));
     }
 
     #[test]
@@ -451,6 +456,12 @@ mod tests {
         assert!("lottery".parse::<SchedulerKind>().is_err());
     }
 
+    /// The snapshot entries of `live`, gathered from per-tenant arrays —
+    /// the runner fills its snapshot the same way.
+    fn gather<T: Copy>(by_tenant: &[T], live: &[usize]) -> Vec<T> {
+        live.iter().map(|&i| by_tenant[i]).collect()
+    }
+
     #[test]
     fn edf_picks_earliest_deadline_and_parks_unconstrained_last() {
         let mut edf = EarliestDeadline;
@@ -460,33 +471,43 @@ mod tests {
             None,
             Some(Cycles::new(400)),
         ];
-        let snap = SloSnapshot {
-            deadlines: &deadlines,
-            laxities: &[None; 4],
+        let mut pick = |live: &[usize]| {
+            let d = gather(&deadlines, live);
+            let l = vec![None; live.len()];
+            let snap = SloSnapshot {
+                deadlines: &d,
+                laxities: &l,
+            };
+            edf.pick_slo(live, &snap)
         };
         // Soonest deadline wins; the 400-cycle tie breaks to index 1.
-        assert_eq!(edf.pick_slo(&[true; 4], &snap), Some(1));
+        assert_eq!(pick(&[0, 1, 2, 3]), Some(1));
         // With the urgent pair done, 900 beats "no deadline".
-        assert_eq!(edf.pick_slo(&[true, false, true, false], &snap), Some(0));
+        assert_eq!(pick(&[0, 2]), Some(0));
         // Only the unconstrained tenant left: it still runs.
-        assert_eq!(edf.pick_slo(&[false, false, true, false], &snap), Some(2));
-        assert_eq!(edf.pick_slo(&[false; 4], &snap), None);
+        assert_eq!(pick(&[2]), Some(2));
+        assert_eq!(pick(&[]), None);
         // Deadline-blind fallback degenerates to lowest index.
-        assert_eq!(edf.pick(&[false, true, true, false]), Some(1));
+        assert_eq!(edf.pick(&[1, 2]), Some(1));
     }
 
     #[test]
     fn llf_picks_smallest_laxity_including_negative() {
         let mut llf = LeastLaxity;
         let laxities = [Some(500i128), Some(-200), None, Some(-200)];
-        let snap = SloSnapshot {
-            deadlines: &[None; 4],
-            laxities: &laxities,
+        let mut pick = |live: &[usize]| {
+            let d = vec![None; live.len()];
+            let l = gather(&laxities, live);
+            let snap = SloSnapshot {
+                deadlines: &d,
+                laxities: &l,
+            };
+            llf.pick_slo(live, &snap)
         };
         // Most negative laxity is most urgent; tie breaks to index 1.
-        assert_eq!(llf.pick_slo(&[true; 4], &snap), Some(1));
-        assert_eq!(llf.pick_slo(&[true, false, true, false], &snap), Some(0));
-        assert_eq!(llf.pick_slo(&[false, false, true, false], &snap), Some(2));
+        assert_eq!(pick(&[0, 1, 2, 3]), Some(1));
+        assert_eq!(pick(&[0, 2]), Some(0));
+        assert_eq!(pick(&[2]), Some(2));
     }
 
     #[test]
@@ -499,6 +520,6 @@ mod tests {
         let mut wfq = WeightedFair::new(&[1, 1]);
         wfq.charge(0, Cycles::new(1_000));
         // WFQ's virtual time, not the deadline, decides.
-        assert_eq!(wfq.pick_slo(&[true, true], &snap), Some(1));
+        assert_eq!(wfq.pick_slo(&[0, 1], &snap), Some(1));
     }
 }

@@ -146,8 +146,9 @@ pub fn ladder_cap(level: u8, entitlement: Resources) -> Resources {
 
 /// Read-only view of the tenants' deadline state, handed to
 /// [`Scheduler::pick_slo`](crate::Scheduler::pick_slo) each dispatch.
-/// Indices align with the runnable mask; `None` marks a tenant without
-/// that piece of information (no SLO, not admitted, or finished).
+/// Both slices run parallel to the live list handed to the same call (entry
+/// `j` describes tenant `live[j]`); `None` marks a tenant without that
+/// piece of information (no SLO).
 #[derive(Debug, Clone, Copy)]
 pub struct SloSnapshot<'a> {
     /// Absolute deadline of each tenant's *next* block (or session end,

@@ -248,6 +248,7 @@ fn fleet_replicas_are_byte_identical() {
         seed: 7,
         sessions: 80,
         mean_gap: 50_000,
+        variants: 3,
         ..PoissonConfig::default()
     });
     let cfg = FleetConfig {

@@ -9,13 +9,14 @@
 //! degrade-don't-drop: whatever the scheduler, fault rate and deadline
 //! pressure, every admitted tenant finishes its whole trace, every ladder
 //! loan is repaid, faults never leak across tenant boundaries, and the
-//! run stays byte-deterministic.
+//! run stays byte-deterministic. Finally, every live-list scheduler must
+//! pick exactly what the old full-mask scan picked.
 
 use mrts::arch::{ArchParams, Cycles, FaultModel, Machine, Resources};
 use mrts::core::Mrts;
 use mrts::multitask::{
     run_multitask, ArbiterPolicy, Criticality, FabricArbiter, MultitaskConfig, Scheduler,
-    SchedulerKind, Slo, TenantSpec, WeightedFair,
+    SchedulerKind, Slo, SloSnapshot, TenantSpec, WeightedFair,
 };
 use mrts::sim::{RunStats, Simulator};
 use mrts::workload::synthetic::{synthetic_trace, Pattern, ToyApp};
@@ -25,6 +26,141 @@ use proptest::prelude::*;
 /// Sum of a slice list, for conservation checks.
 fn total(slices: &[Resources]) -> Resources {
     slices.iter().fold(Resources::NONE, |acc, &s| acc + s)
+}
+
+/// The schedulers as they were before the live list: every pick scans a
+/// full runnable mask and reads tenant-indexed SLO slices. Kept only as
+/// the reference oracle that the live-list disciplines must reproduce
+/// pick for pick.
+#[derive(Debug)]
+enum MaskScan {
+    RoundRobin {
+        quantum: Cycles,
+        current: Option<usize>,
+        used: Cycles,
+    },
+    Priority(Vec<u64>),
+    Fair {
+        weights: Vec<u64>,
+        vtime: Vec<u128>,
+    },
+    Deadline,
+    Laxity,
+}
+
+impl MaskScan {
+    fn new(kind: SchedulerKind, weights: &[u64]) -> Self {
+        match kind {
+            SchedulerKind::RoundRobin(quantum) => MaskScan::RoundRobin {
+                quantum,
+                current: None,
+                used: Cycles::ZERO,
+            },
+            SchedulerKind::StrictPriority => MaskScan::Priority(weights.to_vec()),
+            SchedulerKind::WeightedFair => MaskScan::Fair {
+                weights: weights.to_vec(),
+                vtime: vec![0; weights.len()],
+            },
+            SchedulerKind::EarliestDeadline => MaskScan::Deadline,
+            SchedulerKind::LeastLaxity => MaskScan::Laxity,
+        }
+    }
+
+    /// `slo` is `None` for the deadline-blind `pick`; its slices are
+    /// indexed by tenant, as they were before the live list.
+    fn pick(&mut self, runnable: &[bool], slo: Option<&SloSnapshot<'_>>) -> Option<usize> {
+        let mut scan = (0..runnable.len()).filter(|&i| runnable[i]);
+        match self {
+            MaskScan::RoundRobin {
+                quantum,
+                current,
+                used,
+            } => {
+                if let Some(cur) = *current {
+                    if cur < runnable.len()
+                        && runnable[cur]
+                        && *quantum > Cycles::ZERO
+                        && *used < *quantum
+                    {
+                        return Some(cur);
+                    }
+                }
+                let start = current.map_or(0, |c| c + 1);
+                let n = runnable.len();
+                let idx = (0..n)
+                    .map(|off| (start + off) % n)
+                    .find(|&idx| runnable[idx])?;
+                *current = Some(idx);
+                *used = Cycles::ZERO;
+                Some(idx)
+            }
+            MaskScan::Priority(weights) => {
+                scan.max_by_key(|&i| (weights.get(i).copied().unwrap_or(0), usize::MAX - i))
+            }
+            MaskScan::Fair { vtime, .. } => {
+                scan.min_by_key(|&i| (vtime.get(i).copied().unwrap_or(0), i))
+            }
+            MaskScan::Deadline => match slo {
+                None => scan.next(),
+                Some(slo) => scan.min_by_key(|&i| {
+                    let d = slo
+                        .deadlines
+                        .get(i)
+                        .copied()
+                        .flatten()
+                        .map_or(u64::MAX, Cycles::get);
+                    (d, i)
+                }),
+            },
+            MaskScan::Laxity => match slo {
+                None => scan.next(),
+                Some(slo) => scan.min_by_key(|&i| {
+                    (
+                        slo.laxities.get(i).copied().flatten().unwrap_or(i128::MAX),
+                        i,
+                    )
+                }),
+            },
+        }
+    }
+
+    fn charge(&mut self, tenant: usize, consumed: Cycles) {
+        match self {
+            MaskScan::RoundRobin { current, used, .. } if *current == Some(tenant) => {
+                *used += consumed;
+            }
+            MaskScan::Fair { weights, vtime } => {
+                if let (Some(v), Some(&w)) = (vtime.get_mut(tenant), weights.get(tenant)) {
+                    *v += u128::from(consumed.get()) * (1 << 20) / u128::from(w.max(1));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn register(&mut self, weight: u64, runnable: &[bool]) {
+        match self {
+            MaskScan::Priority(weights) => weights.push(weight),
+            MaskScan::Fair { weights, vtime } => {
+                let vstart = (0..runnable.len().min(vtime.len()))
+                    .filter(|&i| runnable[i])
+                    .map(|i| vtime[i])
+                    .min()
+                    .unwrap_or(0);
+                weights.push(weight);
+                vtime.push(vstart);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A cheap deterministic hash for drawing per-tenant SLO values.
+fn mix64(a: u64, b: u64) -> u64 {
+    let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^ (x >> 29)
 }
 
 proptest! {
@@ -118,13 +254,13 @@ proptest! {
     ) {
         let n = weights.len();
         let mut wfq = WeightedFair::new(&weights);
-        let runnable = vec![true; n];
+        let live: Vec<usize> = (0..n).collect();
         let rounds = 200 * n;
         let mut picks = vec![0u64; n];
         let mut last_seen = vec![0usize; n];
         let mut max_gap = vec![0usize; n];
         for round in 0..rounds {
-            let t = wfq.pick(&runnable).expect("someone is runnable");
+            let t = wfq.pick(&live).expect("someone is runnable");
             prop_assert!(t < n);
             picks[t] += 1;
             for i in 0..n {
@@ -159,9 +295,10 @@ proptest! {
     ) {
         let n = weights.len();
         let runnable: Vec<bool> = (0..n).map(|i| mask_bits >> i & 1 == 1).collect();
+        let live: Vec<usize> = (0..n).filter(|&i| runnable[i]).collect();
         let mut wfq = WeightedFair::new(&weights);
         for _ in 0..50 {
-            match wfq.pick(&runnable) {
+            match wfq.pick(&live) {
                 Some(t) => {
                     prop_assert!(runnable[t], "picked a non-runnable tenant");
                     wfq.charge(t, Cycles::new(1000));
@@ -296,5 +433,79 @@ proptest! {
         // tenant's finish (release-path repartitions may pad the tail).
         let last = a.tenants.iter().map(|t| t.turnaround).max().unwrap();
         prop_assert!(a.makespan >= last, "makespan precedes a tenant's finish");
+    }
+    /// The live-list schedulers reproduce the old mask-scan picks exactly.
+    /// Random weights, runnable sets, late registrations, deadlines,
+    /// laxities (with deliberate ties and missing values) and charge
+    /// sequences drive every discipline side by side with [`MaskScan`]:
+    /// `pick`, `pick_slo` and `register` must agree at every step.
+    #[test]
+    fn live_list_picks_match_the_mask_scan_oracle(
+        kind_ix in 0usize..7,
+        weights in prop::collection::vec(0u64..6, 0..6),
+        ops in prop::collection::vec((0u8..4, any::<u64>(), 0u64..3_000), 1..120),
+    ) {
+        let kind = [
+            SchedulerKind::RoundRobin(Cycles::ZERO),
+            SchedulerKind::RoundRobin(Cycles::new(1_000)),
+            SchedulerKind::RoundRobin(SchedulerKind::DEFAULT_QUANTUM),
+            SchedulerKind::StrictPriority,
+            SchedulerKind::WeightedFair,
+            SchedulerKind::EarliestDeadline,
+            SchedulerKind::LeastLaxity,
+        ][kind_ix];
+        let mut live_side = kind.build(&weights);
+        let mut oracle = MaskScan::new(kind, &weights);
+        let mut runnable = vec![true; weights.len()];
+        for (step, &(op, draw, charge)) in ops.iter().enumerate() {
+            let live: Vec<usize> = (0..runnable.len()).filter(|&i| runnable[i]).collect();
+            match op {
+                // A tenant finishes or (re)joins the runnable set.
+                0 if !runnable.is_empty() => {
+                    let i = (draw % runnable.len() as u64) as usize;
+                    runnable[i] = !runnable[i];
+                }
+                // A late arrival registers behind the incumbents.
+                1 => {
+                    let weight = draw % 6;
+                    live_side.register(weight, &live);
+                    oracle.register(weight, &runnable);
+                    runnable.push(draw & 1 == 0 || live.is_empty());
+                }
+                // A dispatch, deadline-blind or deadline-aware.
+                _ => {
+                    let (got, want) = if op == 2 {
+                        (live_side.pick(&live), oracle.pick(&runnable, None))
+                    } else {
+                        let n = runnable.len();
+                        let deadlines: Vec<Option<Cycles>> = (0..n)
+                            .map(|i| {
+                                let h = mix64(draw, i as u64);
+                                (!h.is_multiple_of(4)).then(|| Cycles::new(h % 5 * 100))
+                            })
+                            .collect();
+                        let laxities: Vec<Option<i128>> = (0..n)
+                            .map(|i| {
+                                let h = mix64(draw ^ 0x55, i as u64);
+                                (!h.is_multiple_of(4)).then(|| i128::from(h % 5) * 100 - 200)
+                            })
+                            .collect();
+                        let d: Vec<_> = live.iter().map(|&i| deadlines[i]).collect();
+                        let l: Vec<_> = live.iter().map(|&i| laxities[i]).collect();
+                        let snap = SloSnapshot { deadlines: &d, laxities: &l };
+                        let by_tenant = SloSnapshot { deadlines: &deadlines, laxities: &laxities };
+                        (
+                            live_side.pick_slo(&live, &snap),
+                            oracle.pick(&runnable, Some(&by_tenant)),
+                        )
+                    };
+                    prop_assert_eq!(got, want, "{} diverged at step {}", kind, step);
+                    if let Some(t) = got {
+                        live_side.charge(t, Cycles::new(charge));
+                        oracle.charge(t, Cycles::new(charge));
+                    }
+                }
+            }
+        }
     }
 }
